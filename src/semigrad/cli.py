@@ -25,7 +25,8 @@ import numpy as np
 
 from . import diagnostics, estimators, forms
 from .errors import InvalidConfig, SemigradError, UnknownEstimator
-from .models import PotentialField
+from .models import (PotentialField, apply_coeff, apply_right_inverse,
+                     sample_directions, sample_points, skew_from_axis)
 from .paths import TimeGrid
 from .registry import ESTIMATOR_IDS, get_scenario, scenario_ids
 
@@ -332,17 +333,11 @@ def list_scenarios() -> str:
 
 def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     """Diagnostic suite for one scenario; returns a list of BoundCheckReports."""
-    import numpy as _np
-
-    from .models import apply_coeff, apply_right_inverse, sample_directions, sample_points
-
     sc = get_scenario(scenario_id)
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)
     v0 = sc.v0
     if model.kind == "lie_group":
-        from .models import skew_from_axis
-
         v0 = skew_from_axis(sc.v0).reshape(-1)
     checks = []
     checks.append(diagnostics.martingale_mean_check(
@@ -351,7 +346,7 @@ def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
         model, grid, sc.x0, v0, p=2, n_paths=n_paths, seed=seed))
     pts = sample_points(model, 64, seed)
     dirs = sample_directions(model, pts, seed + 1)
-    resid = float(_np.max(_np.abs(
+    resid = float(np.max(np.abs(
         apply_coeff(model, pts, apply_right_inverse(model, pts, dirs)) - dirs)))
     checks.append(diagnostics.BoundCheckReport(
         name="right_inverse_identity", claimed_bound=1e-8, empirical=resid,
@@ -405,16 +400,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             with open(args.config) as fh:
                 cfg = parse_config_text(fh.read())
-            if args.seed is not None:
-                cfg.seed = args.seed
-            if args.paths is not None:
-                cfg.n_paths = args.paths
-            if args.steps is not None:
-                cfg.n_steps = args.steps
-            if args.out is not None:
-                cfg.out = args.out
-            if args.format is not None:
-                cfg.format = args.format
+            for arg, key in (("seed", "seed"), ("paths", "n_paths"), ("steps", "n_steps"),
+                             ("out", "out"), ("format", "format")):
+                if getattr(args, arg) is not None:
+                    setattr(cfg, key, getattr(args, arg))
             record = run_experiment(cfg)
             _emit([record], cfg.out, cfg.format)
             if record.passed is None:
@@ -454,10 +443,7 @@ def main(argv=None) -> int:
                 with open(args.out, "w") as fh:
                     json.dump(payload, fh, indent=2)
             return 0 if ok else 2
-    except SemigradError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (SemigradError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

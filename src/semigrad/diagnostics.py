@@ -16,11 +16,13 @@ import numpy as np
 
 from . import engine
 from .errors import MissingDerivative, UnsupportedModel, ZeroDirection
-from .estimators import EstimatorResult, _as_point, _mc_scalar, _PathLoop, bel_gradient
+from .estimators import (EstimatorResult, _map_paths, _mc_scalar, _result_from_blocks,
+                         bel_gradient, semigroup_value)
+from .forms import tangent_frame
 from .models import (apply_right_inverse, as_observable,
                      sample_directions, sample_points)
-from .paths import TimeGrid, noise_block
-from .variation import first_variation_step
+from .paths import TimeGrid, noise_block, simulate
+from .variation import _as_vector
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
 
@@ -122,21 +124,12 @@ def variation_moment(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
                      threads=None) -> EstimatorResult:
     """Monte Carlo E |v_t|^p of the first-variation flow."""
     model.require("DX", "DZ")
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, _ = loop.step(x, dW)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
+        x, alive, (v,), _ = simulate(model, grid, x0,
+                                     noise_block(grid, seed, lo, hi, model.m), vs=(v0,))
         vals = np.sqrt(model.metric_dot(x, v, v)) ** p
         return vals, alive
 
@@ -174,44 +167,32 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     integral E |Y v|^2 ds, and the blow-up fraction.
     """
     model.require("DX", "DZ")
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
     manifold = model.geometry is not None
-    loop = _PathLoop(model, grid)
 
     def block(lo, hi):
         # workers may be forked processes: everything accumulated must be returned
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        wsum = np.zeros(B)
-        qsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                if manifold:
-                    x1, x_dB = loop.step(x, dW)
-                    wsum += np.where(alive, model.metric_dot(x, x_dB, v), 0.0)
-                    qsum += np.where(alive, model.metric_dot(x, v, v), 0.0) * grid.dt
-                else:
-                    yv = apply_right_inverse(model, x, v)
-                    wsum += np.where(alive, np.einsum("bm,bm->b", yv, dW), 0.0)
-                    qsum += np.where(alive, np.einsum("bm,bm->b", yv, yv), 0.0) * grid.dt
-                    x1, _ = loop.step(x, dW)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
-        return (engine.scalar_stats(wsum, alive),
-                float(np.sum(qsum[alive])), int(np.sum(alive)))
+        qsum = np.zeros(hi - lo)
 
-    blocks = engine.map_blocks(
-        n_paths, block, threads=threads,
-        block_size=engine.default_block_size(grid.n_steps, model.m))
-    from .estimators import _result_from_blocks
+        def second_moment(k, x, x_dB, dW, vs, alive):
+            nonlocal qsum
+            if manifold:
+                sq = model.metric_dot(x, vs[0], vs[0])
+            else:
+                yv = apply_right_inverse(model, x, vs[0])
+                sq = np.einsum("bm,bm->b", yv, yv)
+            qsum += np.where(alive, sq, 0.0) * grid.dt
 
-    res = _result_from_blocks([b[0] for b in blocks], seed, grid, {})
+        x, alive, _, (wsum,) = simulate(model, grid, x0,
+                                        noise_block(grid, seed, lo, hi, model.m),
+                                        vs=(v0,), paired=(0,), hook=second_moment)
+        return engine.scalar_stats(wsum, alive), float(np.sum(qsum[alive]))
+
+    blocks = _map_paths(model, grid, n_paths, block, threads)
+    res = _result_from_blocks(model, [b[0] for b in blocks], seed, grid, {})
     q_total = sum(b[1] for b in blocks)
-    q_count = sum(b[2] for b in blocks)
+    q_count = res.n_paths - res.n_rejected
     tol = 3.0 * res.std_error
     passed = abs(res.mean) <= tol and res.valid
     details = {
@@ -235,8 +216,8 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
     perturb along the geodesic through x0 with velocity v0.
     """
     f = as_observable(f)
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
     if model.geometry is not None:
         if model.geometry.geodesic is None:
             raise UnsupportedModel("finite differences on manifolds need geometry.geodesic")
@@ -245,20 +226,11 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
     else:
         x_plus = x0 + delta * v0
         x_minus = x0 - delta * v0
-    loop = _PathLoop(model, grid)
 
     def block(lo, hi):
-        B = hi - lo
         dWs = noise_block(grid, seed, lo, hi, model.m)
-        xp, alive_p = loop.start(x_plus, B)
-        xm, alive_m = loop.start(x_minus, B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1p, _ = loop.step(xp, dW)
-                xp, alive_p = loop.advance(xp, x1p, alive_p)
-                x1m, _ = loop.step(xm, dW)
-                xm, alive_m = loop.advance(xm, x1m, alive_m)
+        xp, alive_p, _, _ = simulate(model, grid, x_plus, dWs)
+        xm, alive_m, _, _ = simulate(model, grid, x_minus, dWs)
         values = (f(xp) - f(xm)) / (2.0 * delta)
         return values, alive_p & alive_m
 
@@ -338,8 +310,8 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
     values = np.empty(len(points))
     grads = np.empty(len(points))
     for i, x in enumerate(points):
-        values[i] = semigroup_at(model, f, grid, x, n_paths=n_paths, seed=seed,
-                                 threads=threads)
+        values[i] = semigroup_value(model, f, grid, x, n_paths=n_paths, seed=seed,
+                                    threads=threads).mean
         frame = _tangent_basis(model, x)
         comps = [bel_gradient(model, f, grid, x, tau, n_paths=n_paths, seed=seed,
                               threads=threads).mean for tau in frame]
@@ -362,16 +334,7 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
                                      "f_norm": fnorm})
 
 
-def semigroup_at(model, f, grid, x, *, n_paths, seed, threads=None) -> float:
-    from .estimators import semigroup_value
-
-    return semigroup_value(model, f, grid, x, n_paths=n_paths, seed=seed,
-                           threads=threads).mean
-
-
 def _tangent_basis(model, x):
-    from .forms import tangent_frame
-
     if model.geometry is None:
         return list(np.eye(model.n))
     return list(tangent_frame(model, x))
@@ -379,23 +342,18 @@ def _tangent_basis(model, x):
 
 def _variation_l2_integral(model, grid, x0, v0, *, n_paths, seed, threads=None):
     """Monte Carlo integral_0^t E |v_s|^2 ds along the flow."""
-    loop = _PathLoop(model, grid)
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        qsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                qsum += np.where(alive, model.metric_dot(x, v, v), 0.0) * grid.dt
-                x1, _ = loop.step(x, dW)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
+        qsum = np.zeros(hi - lo)
+
+        def square_norm(k, x, x_dB, dW, vs, alive):
+            nonlocal qsum
+            qsum += np.where(alive, model.metric_dot(x, vs[0], vs[0]), 0.0) * grid.dt
+
+        _, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                  vs=(v0,), hook=square_norm)
         return qsum, alive
 
     res = _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
@@ -414,29 +372,30 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
     f = as_observable(f)
     if f.df is None:
         raise MissingDerivative("the exact-form identity needs df")
-    loop = _PathLoop(model, grid)
-    x0 = _as_point(model, x0)
+    x0 = _as_vector(model, x0)
 
     def block(lo, hi):
         B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
+        x = np.broadcast_to(x0, (B, model.n))
         f0 = f(x)
         line = np.zeros(B)
         scale = np.linalg.norm(x, axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, x_dB = loop.step(x, dW)
-                contrib = (np.einsum("bn,bn->b", f.df(x), x_dB)
-                           - 0.5 * codiff(x) * grid.dt)
-                line += np.where(alive, contrib, 0.0)
-                x, alive = loop.advance(x, x1, alive)
-                scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
+
+        def line_integral(k, x, x_dB, dW, vs, alive):
+            # x_k for k >= 1 is the state after the advance of step k - 1
+            nonlocal line, scale
+            contrib = (np.einsum("bn,bn->b", f.df(x), x_dB)
+                       - 0.5 * codiff(x) * grid.dt)
+            line += np.where(alive, contrib, 0.0)
+            scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
+
+        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                  hook=line_integral)
+        scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
         resid = np.abs(line - (f(x) - f0))
         return resid, 1.0 + scale, alive
 
-    blocks = engine.map_blocks(n_paths, block, threads=threads)
+    blocks = _map_paths(model, grid, n_paths, block, threads)
     residuals = np.concatenate([b[0][b[2]] for b in blocks])
     scales = np.concatenate([b[1][b[2]] for b in blocks])
     return residuals, scales
@@ -447,24 +406,24 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
     """Max constraint residual over all steps of all paths."""
     if model.geometry is None:
         return 0.0
-    loop = _PathLoop(model, grid)
-    x0 = _as_point(model, x0)
+    x0 = _as_vector(model, x0)
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
         worst = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                x1, _ = loop.step(x, dWs[:, k])
-                x, alive = loop.advance(x, x1, alive)
+
+        def track(k, x, x_dB, dW, vs, alive):
+            # x_k for k >= 1 is the state after the advance of step k - 1
+            nonlocal worst
+            if k > 0 and np.any(alive):
                 res = np.linalg.norm(model.geometry.constraint(x), axis=-1)
-                if np.any(alive):
-                    worst = max(worst, float(np.max(res[alive])))
+                worst = max(worst, float(np.max(res[alive])))
+
+        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                  hook=track)
+        track(grid.n_steps, x, None, None, (), alive)  # the state after the last step
         return worst
 
-    return max(engine.map_blocks(n_paths, block, threads=threads))
+    return max(_map_paths(model, grid, n_paths, block, threads))
 
 
 def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:

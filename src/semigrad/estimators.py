@@ -20,13 +20,11 @@ from . import engine
 from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      InvalidConfig, MissingDerivative, NotLieGroup,
                      UnboundedPotential, UnsupportedModel)
-from .models import (DiffusionModel, LieGroupModel, PotentialField,
-                     TimeDependentCoefficients, apply_coeff,
-                     apply_right_inverse, as_observable, make_dot)
-from .paths import TimeGrid, noise_block, philox_rng, resolve_ito_drift
-from .variation import (covariant_drift_deriv, first_variation_step,
-                        hessian_flow_step, initial_second_variation,
-                        second_variation_step)
+from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
+                     apply_right_inverse, as_observable)
+from .paths import TimeGrid, _NoiseSource, noise_block, simulate
+from .variation import (_as_vector, covariant_drift_deriv, first_variation_step,
+                        initial_second_variation, second_variation_step)
 
 _AUX_STREAM = 1 << 32  # sub-stream slot for auxiliary draws (inner paths use 1..n_inner)
 _MAX_REJECT_FRACTION = 0.01
@@ -64,69 +62,37 @@ class ConditionalBinSpec:
             raise InvalidConfig(f"unknown kernel {self.kernel!r}")
 
 
-def _as_point(model, x0):
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.n,):
-        raise DimensionMismatch(f"point has shape {x0.shape}, expected ({model.n},)")
-    return x0
+def _annotate(model, metadata, n_rej, total) -> dict:
+    """Shared result metadata: derivative provenance and blow-up accounting."""
+    meta = dict(metadata or {})
+    if model.fd_derivatives:
+        meta.setdefault("warnings", []).append(
+            "model uses finite-difference coefficient derivatives")
+    meta["blowup_fraction"] = n_rej / total
+    if n_rej / total > _MAX_REJECT_FRACTION:
+        meta["invalid"] = True
+        meta.setdefault("warnings", []).append(
+            f"{n_rej}/{total} paths hit the blow-up radius")
+    return meta
 
 
-def _result_from_blocks(blocks, seed, grid, metadata=None) -> EstimatorResult:
+def _result_from_blocks(model, blocks, seed, grid, metadata=None) -> EstimatorResult:
     s1, s2, n_ok, n_rej = engine.combine_scalar(blocks)
     if n_ok == 0:
         raise AllPathsBlewUp("no surviving paths")
     mean = s1 / n_ok
     var = max(0.0, (s2 - n_ok * mean * mean) / max(1, n_ok - 1))
     se = float(np.sqrt(var / n_ok))
-    meta = dict(metadata or {})
     total = n_ok + n_rej
-    meta["blowup_fraction"] = n_rej / total
-    if n_rej / total > _MAX_REJECT_FRACTION:
-        meta["invalid"] = True
-        meta.setdefault("warnings", []).append(
-            f"{n_rej}/{total} paths hit the blow-up radius")
     return EstimatorResult(mean=mean, std_error=se, n_paths=total,
-                           n_rejected=n_rej, seed=seed, grid=grid, metadata=meta)
+                           n_rejected=n_rej, seed=seed, grid=grid,
+                           metadata=_annotate(model, metadata, n_rej, total))
 
 
-class _PathLoop:
-    """Shared fused stepping for one block of paths."""
-
-    def __init__(self, model: DiffusionModel, grid: TimeGrid):
-        self.model = model
-        self.grid = grid
-        self.drift = resolve_ito_drift(model)
-        geom = model.geometry
-        self.geom = geom
-        self.group_step = geom.step if geom is not None and geom.step is not None else None
-        self.radius = model.blow_up_radius
-        self.radius_sq = model.blow_up_radius ** 2
-        self._dot = make_dot(model.n)
-
-    def start(self, x0, B):
-        x = np.broadcast_to(x0, (B, self.model.n)).copy()
-        alive = np.ones(B, dtype=bool)
-        return x, alive
-
-    def step(self, x, dW):
-        """One Euler step; returns (x1, x_dB) with x_dB = X(x) dW."""
-        dt = self.grid.dt
-        if self.group_step is not None:
-            x_dB = apply_coeff(self.model, x, dW)
-            x1 = self.group_step(x, dW, dt)
-            return x1, x_dB
-        x_dB = apply_coeff(self.model, x, dW)
-        x1 = x + x_dB + self.drift(x) * dt
-        if self.geom is not None:
-            x1 = self.geom.retract(x1)
-        return x1, x_dB
-
-    def advance(self, x, x1, alive):
-        ok = self._dot(x1, x1) <= self.radius_sq
-        if alive.all() and ok.all():
-            return x1, alive
-        alive = alive & ok
-        return np.where(alive[:, None], x1, x), alive
+def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
+    """block_fn(lo, hi) over the path partition every estimator shares."""
+    return engine.map_blocks(n_paths, block_fn, threads=threads,
+                             block_size=engine.default_block_size(grid.n_steps, model.m))
 
 
 def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
@@ -135,14 +101,8 @@ def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
         values, ok = block_fn(lo, hi)
         return engine.scalar_stats(values, ok)
 
-    blocks = engine.map_blocks(
-        n_paths, wrapped, threads=threads,
-        block_size=engine.default_block_size(grid.n_steps, model.m))
-    meta = dict(metadata or {})
-    if model.fd_derivatives:
-        meta.setdefault("warnings", []).append(
-            "model uses finite-difference coefficient derivatives")
-    return _result_from_blocks(blocks, seed, grid, meta)
+    blocks = _map_paths(model, grid, n_paths, wrapped, threads)
+    return _result_from_blocks(model, blocks, seed, grid, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +113,10 @@ def semigroup_value(model, f, grid: TimeGrid, x0, *, n_paths, seed=0,
                     threads=None) -> EstimatorResult:
     """Estimate the semigroup value E f(x_t) started at x0."""
     f = as_observable(f)
-    x0 = _as_point(model, x0)
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
 
     def block(lo, hi):
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, hi - lo)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                x1, _ = loop.step(x, dWs[:, k])
-                x, alive = loop.advance(x, x1, alive)
+        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m))
         return f(x), alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
@@ -175,30 +129,23 @@ def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     if f.df is None:
         raise MissingDerivative("pathwise gradient needs the observable derivative df")
     model.require("DX", "DZ")
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, _ = loop.step(x, dW)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
-        values = np.einsum("bn,bn->b", f.df(x), v)
-        return values, alive
+        x, alive, (v,), _ = simulate(model, grid, x0,
+                                     noise_block(grid, seed, lo, hi, model.m), vs=(v0,))
+        return np.einsum("bn,bn->b", f.df(x), v), alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
 
 
-def _gradient_weight_mode(model):
-    """Weight pairing: returns 'metric' on manifolds, 'inverse' on flat space."""
-    return "metric" if model.geometry is not None else "inverse"
+def _gradient_paths(model, grid, x0, v0, seed, lo, hi):
+    """x_t, survival and the gradient weight of paths lo..hi-1 (see bel_gradient)."""
+    x, alive, _, (wsum,) = simulate(model, grid, x0,
+                                    noise_block(grid, seed, lo, hi, model.m),
+                                    vs=(v0,), paired=(0,))
+    return x, alive, wsum
 
 
 def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
@@ -211,35 +158,15 @@ def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     """
     f = as_observable(f)
     model.require("DX", "DZ")
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
-    mode = _gradient_weight_mode(model)
-    if mode == "inverse" and model.Y is None:
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
+    if model.geometry is None and model.Y is None:
         raise Degenerate("model has no right inverse Y")
-    loop = _PathLoop(model, grid)
     t = grid.t_end
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        wsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                if mode == "inverse":
-                    yv = apply_right_inverse(model, x, v)
-                    contrib = np.einsum("bm,bm->b", yv, dW)
-                    x1, _ = loop.step(x, dW)
-                else:
-                    x1, x_dB = loop.step(x, dW)
-                    contrib = model.metric_dot(x, x_dB, v)
-                wsum += np.where(alive, contrib, 0.0)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
-        values = f(x) * wsum / t
-        return values, alive
+        x, alive, wsum = _gradient_paths(model, grid, x0, v0, seed, lo, hi)
+        return f(x) * wsum / t, alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
 
@@ -269,65 +196,49 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         raise MissingDerivative("bel_hessian(weights) on flat models needs DY")
     if variant == "nested" and manifold:
         raise UnsupportedModel("the nested Hessian variant is implemented for flat models")
-    x0 = _as_point(model, x0)
-    u0 = _as_point(model, u0)
-    v0 = _as_point(model, v0)
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    u0 = _as_vector(model, u0)
+    v0 = _as_vector(model, v0)
+    w0 = initial_second_variation(model, x0[None], u0[None], v0[None])[0]
     t = grid.t_end
-    K = grid.n_steps
-    K2 = K // 2
+    dt = grid.dt
+    K2 = grid.n_steps // 2
+
+    def first_half_flow(k, x, x1, vs, dW):
+        u, v, w = vs
+        u1 = first_variation_step(model, x, x1, u, dW, dt)
+        w = second_variation_step(model, x, x1, u, u1, v, w, dW, dt)
+        return [u1, first_variation_step(model, x, x1, v, dW, dt), w]
 
     def block(lo, hi):
-        B = hi - lo
         dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        u = np.broadcast_to(u0, (B, model.n)).copy()
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        w = initial_second_variation(model, x, u, v)
-        acc_u = np.zeros(B)
-        acc_v = np.zeros(B)
-        acc_corr = np.zeros(B)
+        acc_corr = np.zeros(hi - lo)
+        k_s = -1
         if variant == "nested":
-            k_s = int(philox_rng(seed, lo, stream=_AUX_STREAM).integers(0, K2))
-            snap = {}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(K):
-                dW = dWs[:, k]
-                if variant == "nested" and k == k_s:
-                    snap["x"] = x.copy()
-                    snap["u"] = u.copy()
-                    snap["v"] = v.copy()
-                    snap["w"] = w.copy()
-                    snap["alive"] = alive.copy()
-                if manifold:
-                    x1, x_dB = loop.step(x, dW)
-                    if k < K2:
-                        acc_u += np.where(alive, model.metric_dot(x, x_dB, u), 0.0)
-                        if variant == "weights":
-                            dxu = np.einsum("bnm,bm->bn", model.DX(x, u), dW)
-                            acc_corr += np.where(alive, model.metric_dot(x, dxu, v), 0.0)
-                            acc_corr += np.where(alive, model.metric_dot(x, x_dB, w), 0.0)
-                    else:
-                        acc_v += np.where(alive, model.metric_dot(x, x_dB, v), 0.0)
-                else:
-                    if k < K2:
-                        yu = apply_right_inverse(model, x, u)
-                        acc_u += np.where(alive, np.einsum("bm,bm->b", yu, dW), 0.0)
-                        if variant == "weights":
-                            dy = model.DY(x, u, v)
-                            yw = apply_right_inverse(model, x, w)
-                            acc_corr += np.where(
-                                alive, np.einsum("bm,bm->b", dy + yw, dW), 0.0)
-                    else:
-                        yv = apply_right_inverse(model, x, v)
-                        acc_v += np.where(alive, np.einsum("bm,bm->b", yv, dW), 0.0)
-                    x1, _ = loop.step(x, dW)
-                if k < K2:
-                    u1 = first_variation_step(model, x, x1, u, dW, grid.dt)
-                    w = second_variation_step(model, x, x1, u, u1, v, w, dW, grid.dt)
-                    u = u1
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
+            k_s = int(_NoiseSource().at(seed, lo, _AUX_STREAM).integers(0, K2))
+        snap = {}
+
+        def correction(k, x, x_dB, dW, vs, alive):
+            nonlocal acc_corr
+            u, v, w = vs
+            if k == k_s:
+                snap.update(x=x, u=u, v=v, w=w, alive=alive)
+            if variant != "weights":
+                return
+            if manifold:
+                dxu = np.einsum("bnm,bm->bn", model.DX(x, u), dW)
+                acc_corr += np.where(alive, model.metric_dot(x, dxu, v), 0.0)
+                acc_corr += np.where(alive, model.metric_dot(x, x_dB, w), 0.0)
+            else:
+                dy = model.DY(x, u, v)
+                yw = apply_right_inverse(model, x, w)
+                acc_corr += np.where(alive, np.einsum("bm,bm->b", dy + yw, dW), 0.0)
+
+        x, alive, (_, v, _), (acc_u,) = simulate(
+            model, grid, x0, dWs[:, :K2], vs=(u0, v0, w0), flow=first_half_flow,
+            paired=(0,), hook=correction)
+        x, alive, _, (acc_v,) = simulate(model, grid, x, dWs[:, K2:], alive,
+                                         vs=(v,), paired=(0,))
         values = f(x) * (4.0 / (t * t) * acc_v * acc_u + 2.0 / t * acc_corr)
         if variant == "nested":
             inner, inner_ok = _nested_correction(model, f, grid, seed, lo, hi, k_s,
@@ -352,7 +263,6 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     """
     B = hi - lo
     x_s, u_s, v_s, w_s = snap["x"], snap["u"], snap["v"], snap["w"]
-    alive0 = snap["alive"]
     yu = apply_right_inverse(model, x_s, u_s)
     a = np.einsum("bnm,bm->bn", model.DX(x_s, v_s), yu)
     direction = w_s - a
@@ -361,25 +271,13 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     K_in = grid.n_steps - k_s
     t_in = grid.t_end - k_s * grid.dt
     grid_in = TimeGrid(t_end=K_in * grid.dt, n_steps=K_in)
-    loop = _PathLoop(model, grid_in)
     fsum = np.zeros(B)
     nsum = np.zeros(B)
-    fobs = as_observable(f)
     for j in range(1, n_inner + 1):
         dWs = noise_block(grid_in, seed, lo, hi, model.m, stream=j)
-        x = x_s.copy()
-        v = direction.copy()
-        alive = alive0.copy()
-        wsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(K_in):
-                dW = dWs[:, k]
-                yv = apply_right_inverse(model, x, v)
-                wsum += np.where(alive, np.einsum("bm,bm->b", yv, dW), 0.0)
-                x1, _ = loop.step(x, dW)
-                v = first_variation_step(model, x, x1, v, dW, grid_in.dt)
-                x, alive = loop.advance(x, x1, alive)
-        val = fobs(x) * wsum / t_in
+        x, alive, _, (wsum,) = simulate(model, grid_in, x_s, dWs, snap["alive"],
+                                        vs=(direction,), paired=(0,))
+        val = f(x) * wsum / t_in
         fsum += np.where(alive, val, 0.0)
         nsum += alive.astype(float)
     ok = nsum > 0
@@ -403,60 +301,60 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
     h-Brownian systems.  Time-dependent coefficients run time-reversed.
     """
     f = as_observable(f)
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
     t = grid.t_end
     dt = grid.dt
     manifold = model.geometry is not None
-    has_dv = V.dV is not None
     if manifold and time_coeffs is not None:
         raise UnsupportedModel("time-dependent coefficients are flat-space only")
     if manifold:
-        drift_deriv = covariant_drift_deriv(model)
+        covariant_drift_deriv(model)  # fail before any path is simulated
+        stepping = {"flow": "hessian"}
     else:
         model.require("DX", "DZ")
-    loop = _PathLoop(model, grid)
+        stepping = {}
     bound_tol = 1e-9 * max(1.0, abs(V.upper_bound)) if np.isfinite(V.upper_bound) else np.inf
 
+    def tau(k):
+        return t - k * dt  # reversed time argument at the left endpoint of step k
+
     tc = time_coeffs
+    if tc is not None:
+        def tc_step(k, x, dW):
+            x_dB = np.einsum("bnm,bm->bn", tc.X(tau(k), x), dW)
+            return x + x_dB + tc.Z(tau(k), x) * dt, x_dB
+
+        def tc_pair(k, x, x_dB, dW, v):
+            yv = np.einsum("bmn,bn->bm", tc.Y(tau(k), x), v)
+            return np.einsum("bm,bm->b", yv, dW)
+
+        def tc_flow(k, x, x1, vs, dW):
+            return [v + np.einsum("bnm,bm->bn", tc.DX(tau(k), x, v), dW)
+                    + tc.DZ(tau(k), x, v) * dt for v in vs]
+
+        stepping = {"step": tc_step, "pair": tc_pair, "flow": tc_flow}
 
     def block(lo, hi):
         B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        vec = np.broadcast_to(v0, (B, model.n)).copy()
-        wsum = np.zeros(B)
         vsum = np.zeros(B)
         dvsum = np.zeros(B)
         vmax = -np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                tau = t - k * dt  # reversed time argument at the left endpoint
-                pot = V.V(tau, x)
-                vmax = max(vmax, float(np.max(np.where(alive, pot, -np.inf))))
-                vsum += np.where(alive, pot, 0.0) * dt
-                if has_dv:
-                    dv_val = np.einsum("bn,bn->b", V.dV(tau, x), vec)
-                    dvsum += np.where(alive, tau * dv_val, 0.0) * dt
-                if tc is not None:
-                    Xm = tc.X(tau, x)
-                    x_dB = np.einsum("bnm,bm->bn", Xm, dW)
-                    yv = np.einsum("bmn,bn->bm", tc.Y(tau, x), vec)
-                    wsum += np.where(alive, np.einsum("bm,bm->b", yv, dW), 0.0)
-                    x1 = x + x_dB + tc.Z(tau, x) * dt
-                    vec = vec + np.einsum("bnm,bm->bn", tc.DX(tau, x, vec), dW) \
-                        + tc.DZ(tau, x, vec) * dt
-                elif manifold:
-                    x1, x_dB = loop.step(x, dW)
-                    wsum += np.where(alive, model.metric_dot(x, x_dB, vec), 0.0)
-                    vec = hessian_flow_step(model, x, x1, vec, dt, drift_deriv)
-                else:
-                    yv = apply_right_inverse(model, x, vec)
-                    wsum += np.where(alive, np.einsum("bm,bm->b", yv, dW), 0.0)
-                    x1, _ = loop.step(x, dW)
-                    vec = first_variation_step(model, x, x1, vec, dW, dt)
-                x, alive = loop.advance(x, x1, alive)
+
+        def feynman_kac(k, x, x_dB, dW, vs, alive):
+            nonlocal vmax, vsum, dvsum
+            tau_k = tau(k)
+            pot = V.V(tau_k, x)
+            vmax = max(vmax, float(np.max(np.where(alive, pot, -np.inf))))
+            vsum += np.where(alive, pot, 0.0) * dt
+            if V.dV is not None:
+                dv_val = np.einsum("bn,bn->b", V.dV(tau_k, x), vs[0])
+                dvsum += np.where(alive, tau_k * dv_val, 0.0) * dt
+
+        x, alive, _, (wsum,) = simulate(model, grid, x0,
+                                        noise_block(grid, seed, lo, hi, model.m),
+                                        vs=(v0,), paired=(0,), hook=feynman_kac,
+                                        **stepping)
         if vmax > V.upper_bound + bound_tol:
             raise UnboundedPotential(
                 f"potential reached {vmax}, declared bound {V.upper_bound}")
@@ -477,27 +375,16 @@ def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     f = as_observable(f)
     if model.geometry is not None and not model.h_brownian:
         raise UnsupportedModel("Hessian-flow gradient needs an h-Brownian or flat model")
-    drift_deriv = covariant_drift_deriv(model)
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
-    loop = _PathLoop(model, grid)
+    covariant_drift_deriv(model)  # fail before any path is simulated
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
     t = grid.t_end
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        W = np.broadcast_to(v0, (B, model.n)).copy()
-        wsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, x_dB = loop.step(x, dW)
-                wsum += np.where(alive, model.metric_dot(x, x_dB, W), 0.0)
-                W = hessian_flow_step(model, x, x1, W, grid.dt, drift_deriv)
-                x, alive = loop.advance(x, x1, alive)
-        values = f(x) * wsum / t
-        return values, alive
+        x, alive, _, (wsum,) = simulate(model, grid, x0,
+                                        noise_block(grid, seed, lo, hi, model.m),
+                                        vs=(v0,), flow="hessian", paired=(0,), pair="metric")
+        return f(x) * wsum / t, alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
 
@@ -515,32 +402,13 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
     Bandwidth bias is O(bandwidth^2) (recorded in metadata).
     """
     model.require("DX", "DZ")
-    x0 = _as_point(model, x0)
-    v0 = _as_point(model, v0)
-    y = _as_point(model, bins.target)
-    mode = _gradient_weight_mode(model)
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    v0 = _as_vector(model, v0)
+    y = _as_vector(model, bins.target)
     t = grid.t_end
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        v = np.broadcast_to(v0, (B, model.n)).copy()
-        wsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                if mode == "inverse":
-                    yv = apply_right_inverse(model, x, v)
-                    contrib = np.einsum("bm,bm->b", yv, dW)
-                    x1, _ = loop.step(x, dW)
-                else:
-                    x1, x_dB = loop.step(x, dW)
-                    contrib = model.metric_dot(x, x_dB, v)
-                wsum += np.where(alive, contrib, 0.0)
-                v = first_variation_step(model, x, x1, v, dW, grid.dt)
-                x, alive = loop.advance(x, x1, alive)
+        x, alive, wsum = _gradient_paths(model, grid, x0, v0, seed, lo, hi)
         dist = np.linalg.norm(x - y, axis=-1)
         if bins.kernel == "box":
             kw = (dist <= bins.bandwidth).astype(float)
@@ -548,35 +416,26 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
             kw = np.exp(-0.5 * (dist / bins.bandwidth) ** 2)
         kw = np.where(alive, kw, 0.0)
         vals = wsum / t
-        return (float(np.sum(kw)), float(np.sum(kw * kw)),
-                float(np.sum(kw * vals)), float(np.sum(kw * vals * vals)),
-                int(np.sum(~alive)))
+        return np.array([np.sum(kw), np.sum(kw * kw), np.sum(kw * vals),
+                         np.sum(kw * vals * vals), np.sum(~alive)])
 
-    blocks = engine.map_blocks(
-        n_paths, block, threads=threads,
-        block_size=engine.default_block_size(grid.n_steps, model.m))
-    sw = sw2 = swv = swv2 = 0.0
-    n_rej = 0
-    for bw_, bw2_, bv_, bv2_, br_ in blocks:
-        sw += bw_
-        sw2 += bw2_
-        swv += bv_
-        swv2 += bv2_
-        n_rej += br_
+    totals = np.zeros(5)
+    for sums in _map_paths(model, grid, n_paths, block, threads):
+        totals += sums  # block order, one add per block as in combine_scalar
+    sw, sw2, swv, swv2, n_rej = totals.tolist()
+    n_rej = int(n_rej)
     if sw <= 0:
         raise EmptyBin(f"no paths within bandwidth {bins.bandwidth} of target")
     mean = swv / sw
     var = max(0.0, swv2 / sw - mean * mean)
     n_eff = sw * sw / sw2 if sw2 > 0 else 0.0
     se = float(np.sqrt(var / max(n_eff, 1.0)))
-    meta = {
+    meta = _annotate(model, {
         "effective_count": n_eff,
         "in_bin_weight": sw,
         "bandwidth_bias_order": bins.bandwidth ** 2,
         "kernel": bins.kernel,
-    }
-    if n_rej / n_paths > _MAX_REJECT_FRACTION:
-        meta["invalid"] = True
+    }, n_rej, n_paths)
     return EstimatorResult(mean=mean, std_error=se, n_paths=n_paths,
                            n_rejected=n_rej, seed=seed, grid=grid, metadata=meta)
 
@@ -599,24 +458,20 @@ def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0,
     if v0_alg.shape != (model.group_dim,):
         raise DimensionMismatch(
             f"algebra direction has shape {v0_alg.shape}, expected ({model.group_dim},)")
-    loop = _PathLoop(model, grid)
     t = grid.t_end
     x0 = np.eye(model.mat_dim).reshape(-1)
     s = model.noise_scale
 
     def block(lo, hi):
-        B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        wsum = np.zeros(B)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                ad = model.ad_inverse(x, v0_alg)
-                wsum += np.where(alive, np.einsum("bm,bm->b", ad, dW), 0.0) / s
-                x1, _ = loop.step(x, dW)
-                x, alive = loop.advance(x, x1, alive)
-        values = f(x) * wsum / t
-        return values, alive
+        wsum = np.zeros(hi - lo)
+
+        def adjoint_weight(k, x, x_dB, dW, vs, alive):
+            nonlocal wsum
+            ad = model.ad_inverse(x, v0_alg)
+            wsum += np.where(alive, np.einsum("bm,bm->b", ad, dW), 0.0) / s
+
+        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                  hook=adjoint_weight)
+        return f(x) * wsum / t, alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)

@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
-from .estimators import EstimatorResult, _as_point, _mc_scalar, _PathLoop
+from .estimators import EstimatorResult, _mc_scalar
 from .models import as_observable
-from .paths import TimeGrid, noise_block
-from .variation import first_variation_step
+from .paths import TimeGrid, noise_block, simulate
+from .variation import _as_vector
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
@@ -164,13 +164,7 @@ def line_integral_one_form(model, traj, noise, form: FormField) -> float:
     """Ito line integral of a 1-form: sum phi(X dB) - (1/2) sum delta^h phi dt."""
     if form.degree != 1:
         raise DegreeMismatch("line_integral_one_form needs a 1-form")
-    _require_codiff(form)
-    xs = traj.states[:-1]  # left endpoints
-    Xm = model.X(xs)
-    xdb = np.einsum("bnm,bm->bn", Xm, noise.increments)
-    ito = float(np.sum(form.eval(xs, xdb)))
-    corr = float(np.sum(form.codiff(xs))) * traj.grid.dt
-    return ito - 0.5 * corr
+    return q_form_line_integral(model, traj, noise, form, ())
 
 
 def q_form_line_integral(model, traj, noise, form: FormField,
@@ -189,7 +183,7 @@ def q_form_line_integral(model, traj, noise, form: FormField,
     if q > 1 and not model.gradient_system:
         raise NotGradientSystem("q-form line integrals need a gradient h-Brownian system")
     _require_codiff(form)
-    xs = traj.states[:-1]
+    xs = traj.states[:-1]  # left endpoints
     Xm = model.X(xs)
     xdb = np.einsum("bnm,bm->bn", Xm, noise.increments)
     alphas = [p.vectors[:-1] for p in alpha_paths]
@@ -235,33 +229,26 @@ def q_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0s, *,
     if len(v0s) != q:
         raise DegreeMismatch(f"degree-{q} semigroup needs {q} vectors, got {len(v0s)}")
     _require_codiff(form)
-    x0 = _as_point(model, x0)
-    v0s = [_as_point(model, v) for v in v0s]
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    v0s = [_as_vector(model, v) for v in v0s]
     t = grid.t_end
 
     def block(lo, hi):
         B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        vs = [np.broadcast_to(v, (B, model.n)).copy() for v in v0s]
-        psi = [np.zeros(B) for _ in range(q)]
         # line integral of the (q-1)-form over each complementary vector subset
         line = {tuple(c): np.zeros(B)
                 for c in itertools.combinations(range(q), q - 1)}
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, x_dB = loop.step(x, dW)
-                for i in range(q):
-                    psi[i] += np.where(alive, model.metric_dot(x, x_dB, vs[i]), 0.0)
-                for comb, acc in line.items():
-                    args = [vs[i] for i in comb]
-                    contrib = (form.eval(x, x_dB, *args) / q
-                               - 0.5 * form.codiff(x, *args) * grid.dt)
-                    acc += np.where(alive, contrib, 0.0)
-                vs = [first_variation_step(model, x, x1, v, dW, grid.dt) for v in vs]
-                x, alive = loop.advance(x, x1, alive)
+
+        def line_integrals(k, x, x_dB, dW, vs, alive):
+            for comb, acc in line.items():
+                args = [vs[i] for i in comb]
+                contrib = (form.eval(x, x_dB, *args) / q
+                           - 0.5 * form.codiff(x, *args) * grid.dt)
+                acc += np.where(alive, contrib, 0.0)
+
+        x, alive, _, psi = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                    vs=v0s, paired=range(q), pair="metric",
+                                    hook=line_integrals)
         values = np.zeros(B)
         order = list(range(q))
         for i in order:
@@ -288,25 +275,14 @@ def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
         raise NotGradientSystem("form differentiation needs a gradient h-Brownian system")
     if len(v0s) != q:
         raise DegreeMismatch(f"expected {q} vectors, got {len(v0s)}")
-    x0 = _as_point(model, x0)
-    v0s = [_as_point(model, v) for v in v0s]
-    loop = _PathLoop(model, grid)
+    x0 = _as_vector(model, x0)
+    v0s = [_as_vector(model, v) for v in v0s]
     t = grid.t_end
 
     def block(lo, hi):
         B = hi - lo
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        x, alive = loop.start(x0, B)
-        vs = [np.broadcast_to(v, (B, model.n)).copy() for v in v0s]
-        psi = [np.zeros(B) for _ in range(q)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_steps):
-                dW = dWs[:, k]
-                x1, x_dB = loop.step(x, dW)
-                for i in range(q):
-                    psi[i] += np.where(alive, model.metric_dot(x, x_dB, vs[i]), 0.0)
-                vs = [first_variation_step(model, x, x1, v, dW, grid.dt) for v in vs]
-                x, alive = loop.advance(x, x1, alive)
+        x, alive, vs, psi = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
+                                     vs=v0s, paired=range(q), pair="metric")
         values = np.zeros(B)
         for i in range(q):
             rest = [vs[j] for j in range(q) if j != i]

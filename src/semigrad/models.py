@@ -96,9 +96,6 @@ class DiffusionModel:
     apply_D2X: Optional[Callable] = None  # (x, u, v, e) -> D2X(x)(u, v) e
     apply_Y: Optional[Callable] = None   # (x, v) -> Y(x) v
 
-    def right_inverse_at(self, x):
-        return right_inverse(self, x)
-
     def metric_dot(self, x, u, v):
         """Riemannian inner product of two (tangent) vectors, batched."""
         if self.geometry is not None and self.geometry.metric_dot is not None:
@@ -215,14 +212,18 @@ def right_inverse(model: DiffusionModel, x) -> np.ndarray:
     if model.Y is not None:
         out = model.Y(xb)
     else:
-        Xm = model.X(xb)  # (B, n, m)
-        gram = np.einsum("bnm,bkm->bnk", Xm, Xm)  # X X^T, (B, n, n)
-        # guard: smallest singular value of the Gram matrix
-        svals = np.linalg.svd(gram, compute_uv=False)
-        if np.any(svals[..., -1] <= _RIGHT_INVERSE_COND_TOL * svals[..., 0]):
-            raise Degenerate("X(x) X(x)^T is singular beyond tolerance")
-        out = np.einsum("bnm,bnk->bmk", Xm, np.linalg.inv(gram))
+        out = _gram_right_inverse(model.X(xb))
     return out[0] if squeeze else out
+
+
+def _gram_right_inverse(Xm) -> np.ndarray:
+    """X^T (X X^T)^(-1) for batched X: (B, n, m), guarded against singular X X^T."""
+    gram = np.einsum("bnm,bkm->bnk", Xm, Xm)  # X X^T, (B, n, n)
+    # guard: smallest singular value of the Gram matrix
+    svals = np.linalg.svd(gram, compute_uv=False)
+    if np.any(svals[..., -1] <= _RIGHT_INVERSE_COND_TOL * svals[..., 0]):
+        raise Degenerate("X(x) X(x)^T is singular beyond tolerance")
+    return np.einsum("bnm,bnk->bmk", Xm, np.linalg.inv(gram))
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +243,8 @@ def make_flat_model(n, m, X, Z=None, *, A=None, DX=None, D2X=None, DZ=None,
     if Xm.shape != (1, n, m):
         raise DimensionMismatch(f"X returns shape {Xm.shape}, expected (1, {n}, {m})")
     if model.Y is None:
-        model.Y = lambda x, _model=model: _default_right_inverse(_model, x)
+        model.Y = lambda x: _gram_right_inverse(model.X(x))
     return model
-
-
-def _default_right_inverse(model, x):
-    Xm = model.X(x)
-    gram = np.einsum("bnm,bkm->bnk", Xm, Xm)
-    return np.einsum("bnm,bnk->bmk", Xm, np.linalg.inv(gram))
 
 
 def _const_matrix_field(mat):

@@ -1,10 +1,11 @@
-"""Driving noise and base SDE integration on a fixed time grid.
+"""Driving noise and the path-stepping kernel on a fixed time grid.
 
 Noise is produced by a counter-based generator (Philox) keyed on
 ``(seed, path_index)`` so that every path is reproducible in isolation and
-distinct paths use provably independent streams.  The integrator is
-Euler-Maruyama in the ambient space, with a retraction step for
-manifold-constrained models.
+distinct paths use provably independent streams.  ``simulate`` is the one
+SDE time loop of the package: Euler-Maruyama in the ambient space, with a
+retraction or group step for manifold-constrained models, co-evolving the
+direction fields and gradient weights every estimator needs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import variation
 from .errors import DimensionMismatch, MissingDerivative
+from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -61,27 +64,15 @@ class Trajectory:
     fk_weight: Optional[float] = None
 
 
-def philox_rng(seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
-    """Counter-based generator for one (seed, path_index, stream) triple.
-
-    ``path_index`` occupies the highest counter word and ``stream`` the next,
-    so per-path streams and per-path sub-streams can never overlap.
-    """
-    counter = np.array([0, 0, stream, path_index], dtype=np.uint64)
-    key = np.uint64(int(seed) & _UINT64_MASK)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
 def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> NoisePath:
     """Draw the n_steps Brownian increments of one path.
 
     Deterministic in (seed, path_index); distinct path indices give
-    independent streams.
+    independent streams.  The increments are row 0 of ``noise_block``.
     """
     if m < 1:
         raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-    rng = philox_rng(seed, path_index)
-    increments = rng.standard_normal((grid.n_steps, m)) * np.sqrt(grid.dt)
+    increments = noise_block(grid, seed, path_index, path_index + 1, m)[0]
     return NoisePath(increments=increments, seed=seed, path_index=path_index)
 
 
@@ -116,7 +107,7 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
     """Increments for paths lo..hi-1 stacked as (hi-lo, n_steps, m).
 
-    Row i is bit-identical to ``generate_noise(grid, seed, lo + i, m)``.
+    Row i depends only on (seed, lo + i, stream), never on the block bounds.
     """
     out = np.empty((hi - lo, grid.n_steps, m))
     source = _NoiseSource()
@@ -132,20 +123,20 @@ def stratonovich_to_ito_drift(model, x) -> np.ndarray:
         raise MissingDerivative("DX is required for the Stratonovich drift correction")
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    xb = x[None, :] if squeeze else x
-    out = _strat_correction(model, xb)
-    if model.A is not None:
-        out = out + model.A(xb)
+    out = _stratonovich_ito_drift(model, x[None, :] if squeeze else x)
     return out[0] if squeeze else out
 
 
-def _strat_correction(model, x) -> np.ndarray:
-    """1/2 sum_i DX(x)(X^i(x)) e_i for batched x of shape (B, n)."""
+def _stratonovich_ito_drift(model, x) -> np.ndarray:
+    """A(x) + 1/2 sum_i DX(x)(X^i(x)) e_i for batched x of shape (B, n)."""
     cols = model.X(x)  # (B, n, m)
     acc = np.zeros(x.shape)
     for i in range(model.m):
         acc += model.DX(x, cols[..., i])[..., i]
-    return 0.5 * acc
+    out = 0.5 * acc
+    if model.A is not None:
+        out = out + model.A(x)
+    return out
 
 
 def resolve_ito_drift(model):
@@ -156,58 +147,108 @@ def resolve_ito_drift(model):
         raise MissingDerivative("model supplies neither Z nor (A, DX)")
     if model.DX is None:
         raise MissingDerivative("DX is required to convert the Stratonovich drift")
-
-    def drift(x):
-        out = _strat_correction(model, x)
-        if model.A is not None:
-            out = out + model.A(x)
-        return out
-
-    return drift
+    return lambda x: _stratonovich_ito_drift(model, x)
 
 
-def _ambient_step(model, drift, x, dW, dt):
-    """One Euler step for a batch of states x: (B, n) with noise dW: (B, m)."""
-    geom = model.geometry
-    if geom is not None and geom.step is not None:
-        return geom.step(x, dW, dt)
-    Xm = model.X(x)
-    x1 = x + np.einsum("bnm,bm->bn", Xm, dW) + drift(x) * dt
-    if geom is not None:
-        x1 = geom.retract(x1)
-    return x1
+def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
+             flow=None, paired=(), pair=None, hook=None, step=None):
+    """Step a block of paths through the increments dWs: (B, K, m).
+
+    Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
+    Each step k, at the left endpoint x_k:
+    - ``step(k, x, dW)`` -> (x1, X(x) dW), by default the Euler, retraction
+      or group step;
+    - weight sum i of ``paired`` adds ``pair(k, x, X(x) dW, dW, vs[i])`` on
+      live paths: <v, X dB> in the metric on manifolds, <Y v, dB> on flat
+      models, unless ``pair`` is "metric" or a callable;
+    - ``hook(k, x, X(x) dW, dW, vs, alive)`` sees the same values;
+    - ``flow(k, x, x1, vs, dW)`` carries ``vs``, by default by first variation,
+      or by the Hessian flow when ``flow="hessian"``;
+    - paths whose new state leaves the blow-up radius freeze and drop out.
+    Returns (x, alive, vs, sums) after the last step.
+    """
+    B, K, m = dWs.shape
+    if m != model.m:
+        raise DimensionMismatch(f"noise has m={m}, model expects m={model.m}")
+    dt = grid.dt
+    x = np.broadcast_to(x, (B, model.n)).copy()
+    alive = np.ones(B, dtype=bool) if alive is None else alive
+    vs = [np.broadcast_to(v, (B, model.n)).copy() for v in vs]
+    sums = [np.zeros(B) for _ in paired]
+    if step is None:
+        geom = model.geometry
+        drift = resolve_ito_drift(model)
+
+        def step(k, x, dW):
+            x_dB = apply_coeff(model, x, dW)
+            if geom is not None and geom.step is not None:
+                return geom.step(x, dW, dt), x_dB
+            x1 = x + x_dB + drift(x) * dt
+            if geom is not None:
+                x1 = geom.retract(x1)
+            return x1, x_dB
+
+    if flow is None:
+        def flow(k, x, x1, vs, dW):
+            return [variation.first_variation_step(model, x, x1, v, dW, dt) for v in vs]
+    elif flow == "hessian":
+        drift_deriv = variation.covariant_drift_deriv(model)
+
+        def flow(k, x, x1, vs, dW):
+            return [variation.hessian_flow_step(model, x, x1, W, dt, drift_deriv) for W in vs]
+    if pair is None:
+        pair = "metric" if model.geometry is not None else "inverse"
+    if pair == "metric":
+        def pair(k, x, x_dB, dW, v):
+            return model.metric_dot(x, x_dB, v)
+    elif pair == "inverse":
+        def pair(k, x, x_dB, dW, v):
+            return np.einsum("bm,bm->b", apply_right_inverse(model, x, v), dW)
+    dot = make_dot(model.n)
+    radius_sq = model.blow_up_radius ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            dW = dWs[:, k]
+            x1, x_dB = step(k, x, dW)
+            for acc, i in zip(sums, paired):
+                acc += np.where(alive, pair(k, x, x_dB, dW, vs[i]), 0.0)
+            if hook is not None:
+                hook(k, x, x_dB, dW, vs, alive)
+            vs = flow(k, x, x1, vs, dW)
+            ok = dot(x1, x1) <= radius_sq
+            if alive.all() and ok.all():
+                x = x1
+            else:
+                alive = alive & ok
+                x = np.where(alive[:, None], x1, x)
+    return x, alive, vs, sums
 
 
 def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray):
     """Integrate a block of paths, returning all states and blow-up flags.
 
     Returns (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none).
-    Used by per-path wrappers and path-storing diagnostics; estimators use
-    fused loops instead to avoid storing whole blocks of states.
+    Steps through ``simulate`` exactly like the estimators, recording every
+    state on the way; used by the per-path wrappers and path-storing tests.
     """
-    B, K, m = dWs.shape
-    if m != model.m:
-        raise DimensionMismatch(f"noise has m={m}, model expects m={model.m}")
-    drift = resolve_ito_drift(model)
+    B, K, _ = dWs.shape
     states = np.empty((B, K + 1, model.n))
-    states[:, 0] = x0s
-    alive = np.ones(B, dtype=bool)
-    blow_step = np.full(B, -1, dtype=int)
-    x = x0s.copy()
-    for k in range(K):
-        x1 = _ambient_step(model, drift, x, dWs[:, k], grid.dt)
-        bad = alive & ~(np.linalg.norm(x1, axis=-1) <= model.blow_up_radius)
-        blow_step[bad] = k + 1
-        alive &= ~bad
-        x = np.where(alive[:, None], x1, x)
-        states[:, k + 1] = x
+    alives = np.empty((B, K + 1), dtype=bool)
+
+    def record(k, x, x_dB, dW, vs, alive):
+        states[:, k] = x
+        alives[:, k] = alive
+
+    x, alive, _, _ = simulate(model, grid, x0s, dWs, hook=record)
+    states[:, K] = x
+    alives[:, K] = alive
+    # survival is monotone, so the first False marks the blow-up step
+    blow_step = np.where(alive, -1, np.argmin(alives, axis=1))
     return states, alive, blow_step
 
 
 def _integrate_single(model, x0, grid, noise) -> Trajectory:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (model.n,):
-        raise DimensionMismatch(f"x0 has shape {x0.shape}, expected ({model.n},)")
+    x0 = variation._as_vector(model, x0)
     states, alive, blow_step = integrate_block(model, x0[None, :], grid,
                                                noise.increments[None])
     blew = not alive[0]

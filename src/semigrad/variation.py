@@ -10,11 +10,14 @@ over paths; the public operations wrap them per path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BlownUpPath, DimensionMismatch, MissingDerivative, MissingGeometry
-from .paths import NoisePath, Trajectory
+
+if TYPE_CHECKING:  # paths imports this module at load time for the kernel's flows
+    from .paths import NoisePath, Trajectory
 
 
 @dataclass(eq=False)
@@ -147,11 +150,24 @@ def initial_second_variation(model, x0, u0, v0):
 # per-path operations
 
 
-def _as_direction(model, v0):
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-    if v0.shape != (model.n,):
-        raise DimensionMismatch(f"direction has shape {v0.shape}, expected ({model.n},)")
-    return v0
+def _as_vector(model, v):
+    """A point or direction of the model's ambient space as a float (n,) array."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (model.n,):
+        raise DimensionMismatch(f"vector has shape {v.shape}, expected ({model.n},)")
+    return v
+
+
+def _replay(traj: Trajectory, w0, step) -> np.ndarray:
+    """Carry w0 along the stored states: w_(k+1) = step(k, x_k, x_(k+1), w_k)."""
+    K = traj.grid.n_steps
+    out = np.empty((K + 1, w0.shape[-1]))
+    out[0] = w0
+    w = w0[None, :]
+    for k in range(K):
+        w = step(k, traj.states[k][None], traj.states[k + 1][None], w)
+        out[k + 1] = w[0]
+    return out
 
 
 def evolve_first_variation(model, traj: Trajectory, noise: NoisePath,
@@ -160,16 +176,10 @@ def evolve_first_variation(model, traj: Trajectory, noise: NoisePath,
     model.require("DX", "DZ")
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
-    v0 = _as_direction(model, v0)
-    K = traj.grid.n_steps
+    v0 = _as_vector(model, v0)
     dt = traj.grid.dt
-    out = np.empty((K + 1, model.n))
-    out[0] = v0
-    v = v0[None, :]
-    for k in range(K):
-        v = first_variation_step(model, traj.states[k][None], traj.states[k + 1][None],
-                                 v, noise.increments[k][None], dt)
-        out[k + 1] = v[0]
+    out = _replay(traj, v0, lambda k, x, x1, v: first_variation_step(
+        model, x, x1, v, noise.increments[k][None], dt))
     return VariationPath(vectors=out, v0=v0)
 
 
@@ -180,18 +190,12 @@ def evolve_second_variation(model, traj: Trajectory, noise: NoisePath,
     model.require("DX", "DZ", "D2X", "D2Z")
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
-    K = traj.grid.n_steps
     dt = traj.grid.dt
-    out = np.empty((K + 1, model.n))
-    w = initial_second_variation(model, traj.states[0][None],
-                                 u_path.v0[None], v_path.v0[None])
-    out[0] = w[0]
-    for k in range(K):
-        w = second_variation_step(model, traj.states[k][None], traj.states[k + 1][None],
-                                  u_path.vectors[k][None], u_path.vectors[k + 1][None],
-                                  v_path.vectors[k][None], w,
-                                  noise.increments[k][None], dt)
-        out[k + 1] = w[0]
+    w0 = initial_second_variation(model, traj.states[0][None],
+                                  u_path.v0[None], v_path.v0[None])[0]
+    out = _replay(traj, w0, lambda k, x, x1, w: second_variation_step(
+        model, x, x1, u_path.vectors[k][None], u_path.vectors[k + 1][None],
+        v_path.vectors[k][None], w, noise.increments[k][None], dt))
     return SecondVariationPath(vectors=out, u0=u_path.v0, v0=v_path.v0)
 
 
@@ -199,19 +203,11 @@ def evolve_hessian_flow(model, traj: Trajectory, v0) -> HessianFlowPath:
     """Deterministic flow W_k = (-Ric/2 + covariant drift derivative) along the path."""
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
-    v0 = _as_direction(model, v0)
+    v0 = _as_vector(model, v0)
     drift_deriv = covariant_drift_deriv(model)
-    if model.geometry is not None and model.geometry.ricci_op is None:
-        raise MissingGeometry("Hessian flow needs geometry.ricci_op")
-    K = traj.grid.n_steps
     dt = traj.grid.dt
-    out = np.empty((K + 1, model.n))
-    out[0] = v0
-    W = v0[None, :]
-    for k in range(K):
-        W = hessian_flow_step(model, traj.states[k][None], traj.states[k + 1][None],
-                              W, dt, drift_deriv)
-        out[k + 1] = W[0]
+    out = _replay(traj, v0, lambda k, x, x1, W: hessian_flow_step(
+        model, x, x1, W, dt, drift_deriv))
     return HessianFlowPath(vectors=out, v0=v0)
 
 
@@ -221,18 +217,8 @@ def parallel_transport(model, traj: Trajectory, v0) -> VariationPath:
     Flat models return the constant path; constrained models project onto
     each new tangent space and rescale to preserve the norm.
     """
-    if model.geometry is None:
-        v0 = _as_direction(model, v0)
-        K = traj.grid.n_steps
-        return VariationPath(vectors=np.tile(v0, (K + 1, 1)), v0=v0)
-    if traj.blew_up:
+    v0 = _as_vector(model, v0)
+    if model.geometry is not None and traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
-    v0 = _as_direction(model, v0)
-    K = traj.grid.n_steps
-    out = np.empty((K + 1, model.n))
-    out[0] = v0
-    v = v0[None, :]
-    for k in range(K):
-        v = transport_step(model, traj.states[k][None], traj.states[k + 1][None], v)
-        out[k + 1] = v[0]
+    out = _replay(traj, v0, lambda k, x, x1, v: transport_step(model, x, x1, v))
     return VariationPath(vectors=out, v0=v0)

@@ -281,6 +281,30 @@ class TestScoreGradient:
         with pytest.raises(EmptyBin):
             sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=31)
 
+    def test_metadata_matches_other_estimators(self):
+        # blow-up accounting and the finite-difference warning are shared
+        from semigrad.models import make_flat_model, with_fd_derivatives
+
+        exact = make_sine_noise_model()
+        fd = with_fd_derivatives(make_flat_model(1, 1, X=exact.X, Z=exact.Z))
+        fd.blow_up_radius = 1.5
+        bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
+        grid = TimeGrid(1.0, 50)
+        r = sg.score_gradient(fd, grid, [0.0], [1.0], bins, n_paths=1000, seed=32,
+                              threads=1)
+        assert r.n_rejected > 0
+        assert r.metadata["blowup_fraction"] == r.n_rejected / r.n_paths
+        assert r.metadata["invalid"]
+        assert any("finite-difference" in w for w in r.metadata["warnings"])
+        assert any("blow-up radius" in w for w in r.metadata["warnings"])
+
+    def test_metadata_without_rejections(self, bm1):
+        bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
+        r = sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=33,
+                              threads=1)
+        assert r.metadata["blowup_fraction"] == 0.0
+        assert r.valid and "warnings" not in r.metadata
+
 
 class TestLieGroupGradient:
     def test_constant_zero(self, so3):

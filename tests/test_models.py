@@ -44,6 +44,17 @@ class TestRightInverse:
         with pytest.raises(Degenerate):
             right_inverse(model, np.array([0.0, 0.0]))
 
+    def test_defaulted_inverse_raises_typed_error(self):
+        # the Y that make_flat_model fills in carries the same singularity guard
+        model = make_flat_model(2, 2, X=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
+                                Z=lambda x: 0 * x, DX=lambda x, v: np.zeros(x.shape + (2,)),
+                                DZ=lambda x, v: 0 * v)
+        with pytest.raises(Degenerate):
+            right_inverse(model, np.array([0.0, 0.0]))
+        with pytest.raises(Degenerate):
+            sg.bel_gradient(model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.0, 0.0],
+                            [1.0, 0.0], n_paths=8, seed=0, threads=1)
+
 
 class TestBuiltinIdentities:
     def test_right_inverse_identity_all_builtins(self, bm1, ou, circle, sphere, so3):

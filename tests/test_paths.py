@@ -116,6 +116,18 @@ class TestIntegration:
         with pytest.raises(DimensionMismatch):
             integrate_ito(bm1, [0.0], grid, bad)
 
+    @pytest.mark.parametrize("sid", sg.scenario_ids())
+    def test_per_path_equals_estimator_path(self, sid):
+        # integrate_ito and the estimators step through the same kernel
+        sc = sg.get_scenario(sid)
+        model = sc.make()
+        grid = TimeGrid(1.0, 200)
+        traj = integrate_ito(model, sc.x0, grid, generate_noise(grid, 7, 0, model.m))
+        for i in range(model.n):
+            r = sg.semigroup_value(model, lambda x, i=i: x[..., i], grid, sc.x0,
+                                   n_paths=1, seed=7, threads=1)
+            assert r.mean == traj.states[-1, i]
+
     def test_blow_up_flagged_not_raised(self):
         model = make_cubic_blowup_model()
         model.blow_up_radius = 1e3
