@@ -33,10 +33,6 @@ from .registry import ESTIMATOR_IDS, get_scenario, scenario_ids
 CSV_COLUMNS = ["scenario", "estimator", "t", "n_paths", "n_steps", "seed",
                "mean", "std_error", "oracle", "abs_error", "pass", "wall_ms"]
 
-_DEFAULTS = dict(t=1.0, n_paths=200_000, n_steps=1000, seed=0,
-                 tol_rel=0.02, tol_abs=0.01)
-
-
 @dataclass
 class ExperimentConfig:
     scenario: str
@@ -66,6 +62,8 @@ class ExperimentConfig:
             raise InvalidConfig("t must be positive")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be >= 1")
+        if self.n_steps < 1:
+            raise InvalidConfig("n_steps must be >= 1")
         if self.estimator not in ESTIMATOR_IDS:
             raise UnknownEstimator(
                 f"unknown estimator {self.estimator!r}; known: {list(ESTIMATOR_IDS)}")
@@ -404,6 +402,7 @@ def main(argv=None) -> int:
                              ("out", "out"), ("format", "format")):
                 if getattr(args, arg) is not None:
                     setattr(cfg, key, getattr(args, arg))
+            cfg.validate()
             record = run_experiment(cfg)
             _emit([record], cfg.out, cfg.format)
             if record.passed is None:

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import engine
 from .errors import MissingDerivative, UnsupportedModel, ZeroDirection
-from .estimators import (EstimatorResult, _map_paths, _mc_scalar, _result_from_blocks,
-                         bel_gradient, semigroup_value)
-from .forms import tangent_frame
+from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
+                         _result_from_blocks, bel_gradient, semigroup_value)
+from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import (apply_right_inverse, as_observable,
                      sample_directions, sample_points)
-from .paths import TimeGrid, noise_block, simulate
+from .paths import TimeGrid, noise_block, simulate, weight
 from .variation import _as_vector
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
@@ -124,16 +124,9 @@ def variation_moment(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
                      threads=None) -> EstimatorResult:
     """Monte Carlo E |v_t|^p of the first-variation flow."""
     model.require("DX", "DZ")
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
-
-    def block(lo, hi):
-        x, alive, (v,), _ = simulate(model, grid, x0,
-                                     noise_block(grid, seed, lo, hi, model.m), vs=(v0,))
-        vals = np.sqrt(model.metric_dot(x, v, v)) ** p
-        return vals, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, x0,
+                     lambda x, vs, sums: np.sqrt(model.metric_dot(x, vs[0], vs[0])) ** p,
+                     vs=(v0,), n_paths=n_paths, seed=seed, threads=threads)
 
 
 def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
@@ -171,22 +164,17 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     v0 = _as_vector(model, v0)
     manifold = model.geometry is not None
 
+    def second_moment(k, x, x_dB, dW, vs):
+        if manifold:
+            return model.metric_dot(x, vs[0], vs[0]) * grid.dt
+        yv = apply_right_inverse(model, x, vs[0])
+        return np.einsum("bm,bm->b", yv, yv) * grid.dt
+
     def block(lo, hi):
         # workers may be forked processes: everything accumulated must be returned
-        qsum = np.zeros(hi - lo)
-
-        def second_moment(k, x, x_dB, dW, vs, alive):
-            nonlocal qsum
-            if manifold:
-                sq = model.metric_dot(x, vs[0], vs[0])
-            else:
-                yv = apply_right_inverse(model, x, vs[0])
-                sq = np.einsum("bm,bm->b", yv, yv)
-            qsum += np.where(alive, sq, 0.0) * grid.dt
-
-        x, alive, _, (wsum,) = simulate(model, grid, x0,
-                                        noise_block(grid, seed, lo, hi, model.m),
-                                        vs=(v0,), paired=(0,), hook=second_moment)
+        x, alive, _, (wsum, qsum) = simulate(model, grid, x0,
+                                             noise_block(grid, seed, lo, hi, model.m),
+                                             vs=(v0,), sums=[weight(model, 0), second_moment])
         return engine.scalar_stats(wsum, alive), float(np.sum(qsum[alive]))
 
     blocks = _map_paths(model, grid, n_paths, block, threads)
@@ -342,22 +330,11 @@ def _tangent_basis(model, x):
 
 def _variation_l2_integral(model, grid, x0, v0, *, n_paths, seed, threads=None):
     """Monte Carlo integral_0^t E |v_s|^2 ds along the flow."""
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
+    def square_norm(k, x, x_dB, dW, vs):
+        return model.metric_dot(x, vs[0], vs[0]) * grid.dt
 
-    def block(lo, hi):
-        qsum = np.zeros(hi - lo)
-
-        def square_norm(k, x, x_dB, dW, vs, alive):
-            nonlocal qsum
-            qsum += np.where(alive, model.metric_dot(x, vs[0], vs[0]), 0.0) * grid.dt
-
-        _, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                  vs=(v0,), hook=square_norm)
-        return qsum, alive
-
-    res = _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
-    return res.mean
+    return _estimate(model, grid, x0, lambda x, vs, sums: sums[0], vs=(v0,),
+                     sums=[square_norm], n_paths=n_paths, seed=seed, threads=threads).mean
 
 
 def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
@@ -373,24 +350,21 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
     if f.df is None:
         raise MissingDerivative("the exact-form identity needs df")
     x0 = _as_vector(model, x0)
+    line_integral = line_integral_step(exact_one_form(f, minus_laplacian=codiff), grid, ())
 
     def block(lo, hi):
-        B = hi - lo
-        x = np.broadcast_to(x0, (B, model.n))
+        x = np.broadcast_to(x0, (hi - lo, model.n))
         f0 = f(x)
-        line = np.zeros(B)
         scale = np.linalg.norm(x, axis=-1)
 
-        def line_integral(k, x, x_dB, dW, vs, alive):
+        def track_scale(k, x, x_dB, dW, vs, alive):
             # x_k for k >= 1 is the state after the advance of step k - 1
-            nonlocal line, scale
-            contrib = (np.einsum("bn,bn->b", f.df(x), x_dB)
-                       - 0.5 * codiff(x) * grid.dt)
-            line += np.where(alive, contrib, 0.0)
+            nonlocal scale
             scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
 
-        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                  hook=line_integral)
+        x, alive, _, (line,) = simulate(model, grid, x0,
+                                        noise_block(grid, seed, lo, hi, model.m),
+                                        sums=[line_integral], hook=track_scale)
         scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
         resid = np.abs(line - (f(x) - f0))
         return resid, 1.0 + scale, alive

@@ -16,6 +16,8 @@ import threading
 
 import numpy as np
 
+from .errors import InvalidConfig
+
 DEFAULT_BLOCK_SIZE = 2048
 _NOISE_BLOCK_BYTES = 256 * 2 ** 20
 
@@ -45,7 +47,10 @@ def resolve_threads(threads=None) -> int:
         return max(1, int(threads))
     env = os.environ.get("SEMIGRAD_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidConfig(f"SEMIGRAD_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 

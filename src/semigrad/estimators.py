@@ -22,7 +22,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable)
-from .paths import TimeGrid, _NoiseSource, noise_block, simulate
+from .paths import TimeGrid, _NoiseSource, noise_block, simulate, weight
 from .variation import (_as_vector, covariant_drift_deriv, first_variation_step,
                         initial_second_variation, second_variation_step)
 
@@ -105,6 +105,21 @@ def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
     return _result_from_blocks(model, blocks, seed, grid, metadata)
 
 
+def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=None,
+              **spec) -> EstimatorResult:
+    """Mean of endpoint(x_t, v_t, sums) over paths stepped by ``simulate(**spec)``."""
+    x0 = _as_vector(model, x0)
+    spec["vs"] = [_as_vector(model, v) for v in spec.get("vs", ())]
+
+    def block(lo, hi):
+        x, alive, vs, sums = simulate(model, grid, x0,
+                                      noise_block(grid, seed, lo, hi, model.m), **spec)
+        return endpoint(x, vs, sums), alive
+
+    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
+                      metadata=metadata)
+
+
 # ---------------------------------------------------------------------------
 # plain semigroup value and the two first-derivative estimators
 
@@ -113,13 +128,8 @@ def semigroup_value(model, f, grid: TimeGrid, x0, *, n_paths, seed=0,
                     threads=None) -> EstimatorResult:
     """Estimate the semigroup value E f(x_t) started at x0."""
     f = as_observable(f)
-    x0 = _as_vector(model, x0)
-
-    def block(lo, hi):
-        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m))
-        return f(x), alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, x0, lambda x, vs, sums: f(x),
+                     n_paths=n_paths, seed=seed, threads=threads)
 
 
 def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
@@ -129,23 +139,9 @@ def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     if f.df is None:
         raise MissingDerivative("pathwise gradient needs the observable derivative df")
     model.require("DX", "DZ")
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
-
-    def block(lo, hi):
-        x, alive, (v,), _ = simulate(model, grid, x0,
-                                     noise_block(grid, seed, lo, hi, model.m), vs=(v0,))
-        return np.einsum("bn,bn->b", f.df(x), v), alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
-
-
-def _gradient_paths(model, grid, x0, v0, seed, lo, hi):
-    """x_t, survival and the gradient weight of paths lo..hi-1 (see bel_gradient)."""
-    x, alive, _, (wsum,) = simulate(model, grid, x0,
-                                    noise_block(grid, seed, lo, hi, model.m),
-                                    vs=(v0,), paired=(0,))
-    return x, alive, wsum
+    return _estimate(model, grid, x0,
+                     lambda x, vs, sums: np.einsum("bn,bn->b", f.df(x), vs[0]),
+                     vs=(v0,), n_paths=n_paths, seed=seed, threads=threads)
 
 
 def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
@@ -158,17 +154,12 @@ def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     """
     f = as_observable(f)
     model.require("DX", "DZ")
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
     if model.geometry is None and model.Y is None:
         raise Degenerate("model has no right inverse Y")
     t = grid.t_end
-
-    def block(lo, hi):
-        x, alive, wsum = _gradient_paths(model, grid, x0, v0, seed, lo, hi)
-        return f(x) * wsum / t, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
+                     vs=(v0,), sums=[weight(model, 0)],
+                     n_paths=n_paths, seed=seed, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +227,9 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
 
         x, alive, (_, v, _), (acc_u,) = simulate(
             model, grid, x0, dWs[:, :K2], vs=(u0, v0, w0), flow=first_half_flow,
-            paired=(0,), hook=correction)
+            sums=[weight(model, 0)], hook=correction)
         x, alive, _, (acc_v,) = simulate(model, grid, x, dWs[:, K2:], alive,
-                                         vs=(v,), paired=(0,))
+                                         vs=(v,), sums=[weight(model, 0)])
         values = f(x) * (4.0 / (t * t) * acc_v * acc_u + 2.0 / t * acc_corr)
         if variant == "nested":
             inner, inner_ok = _nested_correction(model, f, grid, seed, lo, hi, k_s,
@@ -276,7 +267,7 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     for j in range(1, n_inner + 1):
         dWs = noise_block(grid_in, seed, lo, hi, model.m, stream=j)
         x, alive, _, (wsum,) = simulate(model, grid_in, x_s, dWs, snap["alive"],
-                                        vs=(direction,), paired=(0,))
+                                        vs=(direction,), sums=[weight(model, 0)])
         val = f(x) * wsum / t_in
         fsum += np.where(alive, val, 0.0)
         nsum += alive.astype(float)
@@ -325,41 +316,41 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
             x_dB = np.einsum("bnm,bm->bn", tc.X(tau(k), x), dW)
             return x + x_dB + tc.Z(tau(k), x) * dt, x_dB
 
-        def tc_pair(k, x, x_dB, dW, v):
-            yv = np.einsum("bmn,bn->bm", tc.Y(tau(k), x), v)
+        def tc_weight(k, x, x_dB, dW, vs):
+            yv = np.einsum("bmn,bn->bm", tc.Y(tau(k), x), vs[0])
             return np.einsum("bm,bm->b", yv, dW)
 
         def tc_flow(k, x, x1, vs, dW):
             return [v + np.einsum("bnm,bm->bn", tc.DX(tau(k), x, v), dW)
                     + tc.DZ(tau(k), x, v) * dt for v in vs]
 
-        stepping = {"step": tc_step, "pair": tc_pair, "flow": tc_flow}
+        stepping = {"step": tc_step, "flow": tc_flow}
+        sums = [tc_weight]
+    else:
+        sums = [weight(model, 0)]
+    if V.dV is not None:
+        sums.append(lambda k, x, x_dB, dW, vs:
+                    tau(k) * np.einsum("bn,bn->b", V.dV(tau(k), x), vs[0]) * dt)
 
     def block(lo, hi):
-        B = hi - lo
-        vsum = np.zeros(B)
-        dvsum = np.zeros(B)
+        vsum = np.zeros(hi - lo)
         vmax = -np.inf
 
         def feynman_kac(k, x, x_dB, dW, vs, alive):
-            nonlocal vmax, vsum, dvsum
-            tau_k = tau(k)
-            pot = V.V(tau_k, x)
+            nonlocal vmax, vsum
+            pot = V.V(tau(k), x)
             vmax = max(vmax, float(np.max(np.where(alive, pot, -np.inf))))
             vsum += np.where(alive, pot, 0.0) * dt
-            if V.dV is not None:
-                dv_val = np.einsum("bn,bn->b", V.dV(tau_k, x), vs[0])
-                dvsum += np.where(alive, tau_k * dv_val, 0.0) * dt
 
-        x, alive, _, (wsum,) = simulate(model, grid, x0,
-                                        noise_block(grid, seed, lo, hi, model.m),
-                                        vs=(v0,), paired=(0,), hook=feynman_kac,
-                                        **stepping)
+        x, alive, _, (wsum, *dvsum) = simulate(model, grid, x0,
+                                               noise_block(grid, seed, lo, hi, model.m),
+                                               vs=(v0,), sums=sums, hook=feynman_kac,
+                                               **stepping)
         if vmax > V.upper_bound + bound_tol:
             raise UnboundedPotential(
                 f"potential reached {vmax}, declared bound {V.upper_bound}")
         fk = np.exp(vsum)
-        values = f(x) * fk * (wsum + dvsum) / t
+        values = f(x) * fk * (wsum + (dvsum[0] if dvsum else 0.0)) / t
         return values, alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
@@ -376,17 +367,10 @@ def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     if model.geometry is not None and not model.h_brownian:
         raise UnsupportedModel("Hessian-flow gradient needs an h-Brownian or flat model")
     covariant_drift_deriv(model)  # fail before any path is simulated
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
     t = grid.t_end
-
-    def block(lo, hi):
-        x, alive, _, (wsum,) = simulate(model, grid, x0,
-                                        noise_block(grid, seed, lo, hi, model.m),
-                                        vs=(v0,), flow="hessian", paired=(0,), pair="metric")
-        return f(x) * wsum / t, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
+                     vs=(v0,), flow="hessian", sums=[weight(model, 0, metric=True)],
+                     n_paths=n_paths, seed=seed, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +392,9 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
     t = grid.t_end
 
     def block(lo, hi):
-        x, alive, wsum = _gradient_paths(model, grid, x0, v0, seed, lo, hi)
+        x, alive, _, (wsum,) = simulate(model, grid, x0,
+                                        noise_block(grid, seed, lo, hi, model.m),
+                                        vs=(v0,), sums=[weight(model, 0)])
         dist = np.linalg.norm(x - y, axis=-1)
         if bins.kernel == "box":
             kw = (dist <= bins.bandwidth).astype(float)
@@ -459,19 +445,11 @@ def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0,
         raise DimensionMismatch(
             f"algebra direction has shape {v0_alg.shape}, expected ({model.group_dim},)")
     t = grid.t_end
-    x0 = np.eye(model.mat_dim).reshape(-1)
     s = model.noise_scale
 
-    def block(lo, hi):
-        wsum = np.zeros(hi - lo)
+    def adjoint_weight(k, x, x_dB, dW, vs):
+        return np.einsum("bm,bm->b", model.ad_inverse(x, v0_alg), dW) / s
 
-        def adjoint_weight(k, x, x_dB, dW, vs, alive):
-            nonlocal wsum
-            ad = model.ad_inverse(x, v0_alg)
-            wsum += np.where(alive, np.einsum("bm,bm->b", ad, dW), 0.0) / s
-
-        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                  hook=adjoint_weight)
-        return f(x) * wsum / t, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, np.eye(model.mat_dim).reshape(-1),
+                     lambda x, vs, sums: f(x) * sums[0] / t, sums=[adjoint_weight],
+                     n_paths=n_paths, seed=seed, threads=threads)

@@ -22,10 +22,9 @@ import numpy as np
 
 from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
-from .estimators import EstimatorResult, _mc_scalar
+from .estimators import EstimatorResult, _estimate
 from .models import as_observable
-from .paths import TimeGrid, noise_block, simulate
-from .variation import _as_vector
+from .paths import TimeGrid, weight
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
@@ -192,6 +191,14 @@ def q_form_line_integral(model, traj, noise, form: FormField,
     return ito - 0.5 * corr
 
 
+def line_integral_step(form: FormField, grid: TimeGrid, rest):
+    """Step k of the line integral of ``form`` on vs[rest], for ``simulate``'s sums."""
+    def inc(k, x, x_dB, dW, vs):
+        args = [vs[i] for i in rest]
+        return form.eval(x, x_dB, *args) / form.degree - 0.5 * form.codiff(x, *args) * grid.dt
+    return inc
+
+
 # ---------------------------------------------------------------------------
 # form semigroup estimators
 
@@ -229,35 +236,18 @@ def q_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0s, *,
     if len(v0s) != q:
         raise DegreeMismatch(f"degree-{q} semigroup needs {q} vectors, got {len(v0s)}")
     _require_codiff(form)
-    x0 = _as_vector(model, x0)
-    v0s = [_as_vector(model, v) for v in v0s]
     t = grid.t_end
+    rests = [tuple(j for j in range(q) if j != i) for i in range(q)]
 
-    def block(lo, hi):
-        B = hi - lo
-        # line integral of the (q-1)-form over each complementary vector subset
-        line = {tuple(c): np.zeros(B)
-                for c in itertools.combinations(range(q), q - 1)}
+    def wedge_endpoint(x, vs, sums):
+        psi, line = sums[:q], sums[q:]  # line[i] integrates over the vectors in rests[i]
+        return sum((-1.0) ** i * psi[i] * line[i] for i in range(q)) / t
 
-        def line_integrals(k, x, x_dB, dW, vs, alive):
-            for comb, acc in line.items():
-                args = [vs[i] for i in comb]
-                contrib = (form.eval(x, x_dB, *args) / q
-                           - 0.5 * form.codiff(x, *args) * grid.dt)
-                acc += np.where(alive, contrib, 0.0)
-
-        x, alive, _, psi = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                    vs=v0s, paired=range(q), pair="metric",
-                                    hook=line_integrals)
-        values = np.zeros(B)
-        order = list(range(q))
-        for i in order:
-            rest = tuple(j for j in order if j != i)
-            values += (-1.0) ** i * psi[i] * line[rest]
-        return values / t, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
-                      metadata={"form": form.name, "degree": q})
+    return _estimate(model, grid, x0, wedge_endpoint, vs=v0s,
+                     sums=[weight(model, i, metric=True) for i in range(q)]
+                     + [line_integral_step(form, grid, rest) for rest in rests],
+                     n_paths=n_paths, seed=seed, threads=threads,
+                     metadata={"form": form.name, "degree": q})
 
 
 def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
@@ -275,23 +265,16 @@ def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
         raise NotGradientSystem("form differentiation needs a gradient h-Brownian system")
     if len(v0s) != q:
         raise DegreeMismatch(f"expected {q} vectors, got {len(v0s)}")
-    x0 = _as_vector(model, x0)
-    v0s = [_as_vector(model, v) for v in v0s]
     t = grid.t_end
 
-    def block(lo, hi):
-        B = hi - lo
-        x, alive, vs, psi = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                     vs=v0s, paired=range(q), pair="metric")
-        values = np.zeros(B)
-        for i in range(q):
-            rest = [vs[j] for j in range(q) if j != i]
-            endpoint = form.eval(x, *rest) if form.degree > 0 else form.eval(x)
-            values += (-1.0) ** i * psi[i] * endpoint
-        return values / t, alive
+    def wedge_endpoint(x, vs, psi):
+        return sum((-1.0) ** i * psi[i] * form.eval(x, *(vs[j] for j in range(q) if j != i))
+                   for i in range(q)) / t
 
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
-                      metadata={"form": form.name, "degree": q})
+    return _estimate(model, grid, x0, wedge_endpoint, vs=v0s,
+                     sums=[weight(model, i, metric=True) for i in range(q)],
+                     n_paths=n_paths, seed=seed, threads=threads,
+                     metadata={"form": form.name, "degree": q})
 
 
 # ---------------------------------------------------------------------------

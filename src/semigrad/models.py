@@ -4,8 +4,6 @@ All coefficient callbacks are batched: a point argument has shape (B, n)
 and outputs carry the leading batch axis (X -> (B, n, m), drifts -> (B, n),
 scalars -> (B,)).  Derivatives are directional: DX(x, v) is the derivative
 of X at x in direction v, D2X(x, u, v) the second derivative, and so on.
-Models built from non-vectorized user callbacks can be adapted with
-``vectorize_pointwise``.
 """
 
 from __future__ import annotations
@@ -120,8 +118,6 @@ class LieGroupModel(DiffusionModel):
     group_dim: int = 3
     mat_dim: int = 3
     noise_scale: float = 1.0
-    algebra_basis: Optional[np.ndarray] = None  # (group_dim, mat_dim, mat_dim)
-    algebra_drift: Optional[np.ndarray] = None  # (group_dim,)
 
     def ad_inverse(self, g_flat, v_alg):
         """Ad(g^-1) applied to algebra coordinates; for SO(3) this is g^T v."""
@@ -168,20 +164,6 @@ class TimeDependentCoefficients:
     DX: Optional[Callable] = None     # (t, x, v) -> (B, n, m)
     DZ: Optional[Callable] = None     # (t, x, v) -> (B, n)
     Y: Optional[Callable] = None      # (t, x) -> (B, m, n)
-
-
-def vectorize_pointwise(fn, out_shape=None):
-    """Wrap a single-point callback so it accepts (B, n) batches (slow path)."""
-
-    def wrapped(x, *args):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(fn(x, *args), dtype=float)
-        rows = [np.asarray(fn(x[i], *(a[i] for a in args)), dtype=float)
-                for i in range(x.shape[0])]
-        return np.stack(rows, axis=0)
-
-    return wrapped
 
 
 def apply_coeff(model: DiffusionModel, x, e) -> np.ndarray:
@@ -563,7 +545,6 @@ def make_so3_model(noise_scale=1.0, algebra_drift=None) -> LieGroupModel:
         kind="lie_group",
         h_brownian=True,
         group_dim=3, mat_dim=3, noise_scale=s,
-        algebra_basis=SO3_BASIS, algebra_drift=drift,
     )
 
     def apply_X(g, e):

@@ -150,22 +150,35 @@ def resolve_ito_drift(model):
     return lambda x: _stratonovich_ito_drift(model, x)
 
 
+def weight(model, i, metric=None):
+    """Increment of the gradient weight of direction vs[i] for ``simulate``'s sums.
+
+    <v_i, X(x) dB> in the metric (the default on manifolds), otherwise
+    <Y(x) v_i, dB>.
+    """
+    if metric is None:
+        metric = model.geometry is not None
+    if metric:
+        return lambda k, x, x_dB, dW, vs: model.metric_dot(x, x_dB, vs[i])
+    return lambda k, x, x_dB, dW, vs: np.einsum(
+        "bm,bm->b", apply_right_inverse(model, x, vs[i]), dW)
+
+
 def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
-             flow=None, paired=(), pair=None, hook=None, step=None):
+             flow=None, sums=(), hook=None, step=None):
     """Step a block of paths through the increments dWs: (B, K, m).
 
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
     Each step k, at the left endpoint x_k:
     - ``step(k, x, dW)`` -> (x1, X(x) dW), by default the Euler, retraction
       or group step;
-    - weight sum i of ``paired`` adds ``pair(k, x, X(x) dW, dW, vs[i])`` on
-      live paths: <v, X dB> in the metric on manifolds, <Y v, dB> on flat
-      models, unless ``pair`` is "metric" or a callable;
+    - running total i adds ``sums[i](k, x, X(x) dW, dW, vs)`` on live paths
+      (see ``weight``), in list order;
     - ``hook(k, x, X(x) dW, dW, vs, alive)`` sees the same values;
     - ``flow(k, x, x1, vs, dW)`` carries ``vs``, by default by first variation,
       or by the Hessian flow when ``flow="hessian"``;
     - paths whose new state leaves the blow-up radius freeze and drop out.
-    Returns (x, alive, vs, sums) after the last step.
+    Returns (x, alive, vs, totals) after the last step.
     """
     B, K, m = dWs.shape
     if m != model.m:
@@ -174,7 +187,7 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     x = np.broadcast_to(x, (B, model.n)).copy()
     alive = np.ones(B, dtype=bool) if alive is None else alive
     vs = [np.broadcast_to(v, (B, model.n)).copy() for v in vs]
-    sums = [np.zeros(B) for _ in paired]
+    totals = [np.zeros(B) for _ in sums]
     if step is None:
         geom = model.geometry
         drift = resolve_ito_drift(model)
@@ -196,22 +209,14 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
 
         def flow(k, x, x1, vs, dW):
             return [variation.hessian_flow_step(model, x, x1, W, dt, drift_deriv) for W in vs]
-    if pair is None:
-        pair = "metric" if model.geometry is not None else "inverse"
-    if pair == "metric":
-        def pair(k, x, x_dB, dW, v):
-            return model.metric_dot(x, x_dB, v)
-    elif pair == "inverse":
-        def pair(k, x, x_dB, dW, v):
-            return np.einsum("bm,bm->b", apply_right_inverse(model, x, v), dW)
     dot = make_dot(model.n)
     radius_sq = model.blow_up_radius ** 2
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             dW = dWs[:, k]
             x1, x_dB = step(k, x, dW)
-            for acc, i in zip(sums, paired):
-                acc += np.where(alive, pair(k, x, x_dB, dW, vs[i]), 0.0)
+            for acc, inc in zip(totals, sums):
+                acc += np.where(alive, inc(k, x, x_dB, dW, vs), 0.0)
             if hook is not None:
                 hook(k, x, x_dB, dW, vs, alive)
             vs = flow(k, x, x1, vs, dW)
@@ -221,7 +226,7 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
             else:
                 alive = alive & ok
                 x = np.where(alive[:, None], x1, x)
-    return x, alive, vs, sums
+    return x, alive, vs, totals
 
 
 def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray):

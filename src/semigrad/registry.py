@@ -32,7 +32,6 @@ class Scenario:
     observables: dict = field(default_factory=dict)
     forms: dict = field(default_factory=dict)
     oracles: dict = field(default_factory=dict)  # (estimator, observable) -> fn(cfg)
-    oracle_names: dict = field(default_factory=dict)
 
     def observable(self, name):
         if name not in self.observables:

@@ -9,6 +9,7 @@ import pytest
 from semigrad.cli import (CSV_COLUMNS, config_from_dict, main,
                           parse_config_text, records_to_csv, run_experiment,
                           run_suite)
+from semigrad.engine import resolve_threads
 from semigrad.errors import InvalidConfig, UnknownEstimator, UnknownScenario
 
 FAST = dict(n_paths=4000, n_steps=200)
@@ -64,6 +65,8 @@ class TestConfigParsing:
             _cfg(t=-1.0)
         with pytest.raises(InvalidConfig):
             _cfg(n_paths=0)
+        with pytest.raises(InvalidConfig):
+            _cfg(n_steps=0)
         with pytest.raises(InvalidConfig):
             parse_config_text("scenario: bm1d")
         with pytest.raises(InvalidConfig):
@@ -193,6 +196,24 @@ class TestMainEntry:
         cfg_file.write_text("scenario=ou1d\nestimator=bel_gradient\nf=x\n"
                             "n_paths=20000\nn_steps=2\nseed=1\n")
         assert main(["run", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--paths", "--steps"])
+    def test_run_zero_override_exits_1(self, tmp_path, capsys, flag):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\n"
+                            "n_paths=100\nn_steps=10\n")
+        assert main(["run", "--config", str(cfg_file), flag, "0"]) == 1
+        assert ("n_paths" if flag == "--paths" else "n_steps") in capsys.readouterr().err
+
+    def test_non_integer_threads_env_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SEMIGRAD_THREADS", "two")
+        with pytest.raises(InvalidConfig, match="SEMIGRAD_THREADS"):
+            resolve_threads()
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\n"
+                            "n_paths=100\nn_steps=10\n")
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert "SEMIGRAD_THREADS" in capsys.readouterr().err
 
     def test_run_unknown_scenario_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.txt"

@@ -4,7 +4,7 @@ import pytest
 import semigrad as sg
 from semigrad import TimeGrid, generate_noise, integrate_ito, integrate_stratonovich
 from semigrad.errors import DimensionMismatch
-from semigrad.paths import noise_block, stratonovich_to_ito_drift
+from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
 
 from conftest import make_cubic_blowup_model
 
@@ -127,6 +127,24 @@ class TestIntegration:
             r = sg.semigroup_value(model, lambda x, i=i: x[..., i], grid, sc.x0,
                                    n_paths=1, seed=7, threads=1)
             assert r.mean == traj.states[-1, i]
+
+    def test_sums_stop_at_blow_up_step(self):
+        # a running total adds each live step's increment in order and nothing
+        # from the blow-up step on, where integrate_block reports that step
+        model = make_cubic_blowup_model()
+        model.blow_up_radius = 3.0
+        grid = TimeGrid(1.0, 100)
+        dWs = noise_block(grid, 4, 0, 64, 1)
+        _, _, blow_step = integrate_block(model, np.full((64, 1), 1.0), grid, dWs)
+        _, alive, _, (total,) = simulate(model, grid, [1.0], dWs,
+                                         sums=[lambda k, x, x_dB, dW, vs: dW[:, 0]])
+        assert 0 < np.sum(~alive) < 64
+        assert np.array_equal(alive, blow_step < 0)
+        for b in range(64):
+            expected = 0.0
+            for k in range(grid.n_steps if blow_step[b] < 0 else blow_step[b]):
+                expected += dWs[b, k, 0]
+            assert total[b] == expected
 
     def test_blow_up_flagged_not_raised(self):
         model = make_cubic_blowup_model()
