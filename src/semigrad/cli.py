@@ -64,6 +64,10 @@ class ExperimentConfig:
             raise InvalidConfig("n_paths must be >= 1")
         if self.n_steps < 1:
             raise InvalidConfig("n_steps must be >= 1")
+        if self.delta == 0 or not np.isfinite(self.delta):
+            raise InvalidConfig("delta must be finite and nonzero")
+        if self.n_inner < 1:
+            raise InvalidConfig("n_inner must be >= 1")
         if self.estimator not in ESTIMATOR_IDS:
             raise UnknownEstimator(
                 f"unknown estimator {self.estimator!r}; known: {list(ESTIMATOR_IDS)}")
@@ -142,12 +146,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     data = {}
     for key, val in raw.items():
         key = _ALIASES.get(key, key)
-        if key in _VECTOR_KEYS:
-            val = _parse_vector(val)
-        elif key in _INT_KEYS:
-            val = int(float(val))
-        elif key in _FLOAT_KEYS:
-            val = float(val)
+        try:
+            if key in _VECTOR_KEYS:
+                val = _parse_vector(val)
+            elif key in _INT_KEYS:
+                val = int(float(val))
+            elif key in _FLOAT_KEYS:
+                val = float(val)
+        except (TypeError, ValueError):
+            raise InvalidConfig(f"{key} must be numeric, got {val!r}") from None
         data[key] = val
     try:
         cfg = ExperimentConfig(**data)
@@ -161,7 +168,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     """Flat key=value lines (# comments allowed) or a JSON object."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        return config_from_dict(json.loads(stripped))
+        return config_from_dict(_load_json(stripped, "config"))
     raw = {}
     for line in stripped.splitlines():
         line = line.strip()
@@ -174,6 +181,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if not raw:
         raise InvalidConfig("empty config")
     return config_from_dict(raw)
+
+
+def _load_json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"{what} is not valid JSON: {exc}") from None
 
 
 def _build_potential(cfg: ExperimentConfig) -> PotentialField:
@@ -290,7 +304,7 @@ def _error_record(raw_cfg: dict, exc: Exception) -> ReportRecord:
 def run_suite(manifest_path: str):
     """Run a JSON manifest (array of config objects); returns (records, had_error)."""
     with open(manifest_path) as fh:
-        entries = json.load(fh)
+        entries = _load_json(fh.read(), "suite manifest")
     if not isinstance(entries, list):
         raise InvalidConfig("suite manifest must be a JSON array of configs")
     records = []
@@ -331,6 +345,8 @@ def list_scenarios() -> str:
 
 def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     """Diagnostic suite for one scenario; returns a list of BoundCheckReports."""
+    if n_steps < 1:
+        raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
     sc = get_scenario(scenario_id)
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .errors import MissingDerivative, UnsupportedModel, ZeroDirection
+from .errors import InvalidConfig, MissingDerivative, UnsupportedModel, ZeroDirection
 from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
-                         _result_from_blocks, bel_gradient, semigroup_value)
+                         _result_from_sums, bel_gradient, semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import (apply_right_inverse, as_observable,
                      sample_directions, sample_points)
@@ -175,11 +175,10 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
         x, alive, _, (wsum, qsum) = simulate(model, grid, x0,
                                              noise_block(grid, seed, lo, hi, model.m),
                                              vs=(v0,), sums=[weight(model, 0), second_moment])
-        return engine.scalar_stats(wsum, alive), float(np.sum(qsum[alive]))
+        return engine.scalar_stats(wsum, alive) + (float(np.sum(qsum[alive])),)
 
-    blocks = _map_paths(model, grid, n_paths, block, threads)
-    res = _result_from_blocks(model, [b[0] for b in blocks], seed, grid, {})
-    q_total = sum(b[1] for b in blocks)
+    *sums, q_total = engine.combine_scalar(_map_paths(model, grid, n_paths, block, threads))
+    res = _result_from_sums(model, sums, seed, grid, {})
     q_count = res.n_paths - res.n_rejected
     tol = 3.0 * res.std_error
     passed = abs(res.mean) <= tol and res.valid
@@ -204,6 +203,8 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
     perturb along the geodesic through x0 with velocity v0.
     """
     f = as_observable(f)
+    if delta == 0 or not np.isfinite(delta):
+        raise InvalidConfig(f"delta must be finite and nonzero, got {delta}")
     x0 = _as_vector(model, x0)
     v0 = _as_vector(model, v0)
     if model.geometry is not None:
@@ -300,7 +301,7 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
     for i, x in enumerate(points):
         values[i] = semigroup_value(model, f, grid, x, n_paths=n_paths, seed=seed,
                                     threads=threads).mean
-        frame = _tangent_basis(model, x)
+        frame = tangent_frame(model, x)
         comps = [bel_gradient(model, f, grid, x, tau, n_paths=n_paths, seed=seed,
                               threads=threads).mean for tau in frame]
         grads[i] = float(np.linalg.norm(comps))
@@ -320,12 +321,6 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
                             passed=bool(passed),
                             details={"k": k, "n_grid": len(points),
                                      "f_norm": fnorm})
-
-
-def _tangent_basis(model, x):
-    if model.geometry is None:
-        return list(np.eye(model.n))
-    return list(tangent_frame(model, x))
 
 
 def _variation_l2_integral(model, grid, x0, v0, *, n_paths, seed, threads=None):

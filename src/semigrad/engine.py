@@ -85,14 +85,5 @@ def scalar_stats(values: np.ndarray, ok: np.ndarray):
 
 
 def combine_scalar(blocks):
-    """Merge per-block partial sums in block order."""
-    s1 = 0.0
-    s2 = 0.0
-    n_ok = 0
-    n_rej = 0
-    for b1, b2, bok, brej in blocks:
-        s1 += b1
-        s2 += b2
-        n_ok += bok
-        n_rej += brej
-    return s1, s2, n_ok, n_rej
+    """Add per-block partial-sum tuples position by position, in block order."""
+    return tuple(sum(column) for column in zip(*blocks))

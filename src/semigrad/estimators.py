@@ -76,8 +76,9 @@ def _annotate(model, metadata, n_rej, total) -> dict:
     return meta
 
 
-def _result_from_blocks(model, blocks, seed, grid, metadata=None) -> EstimatorResult:
-    s1, s2, n_ok, n_rej = engine.combine_scalar(blocks)
+def _result_from_sums(model, sums, seed, grid, metadata=None) -> EstimatorResult:
+    """Mean and standard error from the merged ``scalar_stats`` sums."""
+    s1, s2, n_ok, n_rej = sums
     if n_ok == 0:
         raise AllPathsBlewUp("no surviving paths")
     mean = s1 / n_ok
@@ -91,6 +92,8 @@ def _result_from_blocks(model, blocks, seed, grid, metadata=None) -> EstimatorRe
 
 def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
     """block_fn(lo, hi) over the path partition every estimator shares."""
+    if n_paths < 1:
+        raise InvalidConfig(f"n_paths must be >= 1, got {n_paths}")
     return engine.map_blocks(n_paths, block_fn, threads=threads,
                              block_size=engine.default_block_size(grid.n_steps, model.m))
 
@@ -102,7 +105,7 @@ def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
         return engine.scalar_stats(values, ok)
 
     blocks = _map_paths(model, grid, n_paths, wrapped, threads)
-    return _result_from_blocks(model, blocks, seed, grid, metadata)
+    return _result_from_sums(model, engine.combine_scalar(blocks), seed, grid, metadata)
 
 
 def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=None,
@@ -187,6 +190,8 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         raise MissingDerivative("bel_hessian(weights) on flat models needs DY")
     if variant == "nested" and manifold:
         raise UnsupportedModel("the nested Hessian variant is implemented for flat models")
+    if variant == "nested" and n_inner < 1:
+        raise InvalidConfig(f"n_inner must be >= 1, got {n_inner}")
     x0 = _as_vector(model, x0)
     u0 = _as_vector(model, u0)
     v0 = _as_vector(model, v0)
@@ -292,8 +297,6 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
     h-Brownian systems.  Time-dependent coefficients run time-reversed.
     """
     f = as_observable(f)
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
     t = grid.t_end
     dt = grid.dt
     manifold = model.geometry is not None
@@ -328,32 +331,26 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
         sums = [tc_weight]
     else:
         sums = [weight(model, 0)]
+
+    def feynman_kac_exponent(k, x, x_dB, dW, vs):
+        # a frozen path sits at a state it visited, so every path tests the bound
+        pot = V.V(tau(k), x)
+        if np.max(pot) > V.upper_bound + bound_tol:
+            raise UnboundedPotential(
+                f"potential reached {np.max(pot)}, declared bound {V.upper_bound}")
+        return pot * dt
+
+    sums.append(feynman_kac_exponent)
     if V.dV is not None:
         sums.append(lambda k, x, x_dB, dW, vs:
                     tau(k) * np.einsum("bn,bn->b", V.dV(tau(k), x), vs[0]) * dt)
 
-    def block(lo, hi):
-        vsum = np.zeros(hi - lo)
-        vmax = -np.inf
+    def endpoint(x, vs, sums):
+        wsum, vsum, *dvsum = sums
+        return f(x) * np.exp(vsum) * (wsum + (dvsum[0] if dvsum else 0.0)) / t
 
-        def feynman_kac(k, x, x_dB, dW, vs, alive):
-            nonlocal vmax, vsum
-            pot = V.V(tau(k), x)
-            vmax = max(vmax, float(np.max(np.where(alive, pot, -np.inf))))
-            vsum += np.where(alive, pot, 0.0) * dt
-
-        x, alive, _, (wsum, *dvsum) = simulate(model, grid, x0,
-                                               noise_block(grid, seed, lo, hi, model.m),
-                                               vs=(v0,), sums=sums, hook=feynman_kac,
-                                               **stepping)
-        if vmax > V.upper_bound + bound_tol:
-            raise UnboundedPotential(
-                f"potential reached {vmax}, declared bound {V.upper_bound}")
-        fk = np.exp(vsum)
-        values = f(x) * fk * (wsum + (dvsum[0] if dvsum else 0.0)) / t
-        return values, alive
-
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads)
+    return _estimate(model, grid, x0, endpoint, vs=(v0,), sums=sums, **stepping,
+                     n_paths=n_paths, seed=seed, threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +399,11 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
             kw = np.exp(-0.5 * (dist / bins.bandwidth) ** 2)
         kw = np.where(alive, kw, 0.0)
         vals = wsum / t
-        return np.array([np.sum(kw), np.sum(kw * kw), np.sum(kw * vals),
-                         np.sum(kw * vals * vals), np.sum(~alive)])
+        return (float(np.sum(kw)), float(np.sum(kw * kw)), float(np.sum(kw * vals)),
+                float(np.sum(kw * vals * vals)), int(np.sum(~alive)))
 
-    totals = np.zeros(5)
-    for sums in _map_paths(model, grid, n_paths, block, threads):
-        totals += sums  # block order, one add per block as in combine_scalar
-    sw, sw2, swv, swv2, n_rej = totals.tolist()
-    n_rej = int(n_rej)
+    sw, sw2, swv, swv2, n_rej = engine.combine_scalar(
+        _map_paths(model, grid, n_paths, block, threads))
     if sw <= 0:
         raise EmptyBin(f"no paths within bandwidth {bins.bandwidth} of target")
     mean = swv / sw

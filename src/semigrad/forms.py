@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
 from .estimators import EstimatorResult, _estimate
-from .models import as_observable
+from .models import apply_coeff, as_observable
 from .paths import TimeGrid, weight
 
 _MAX_DEGREE = 2
@@ -182,13 +182,13 @@ def q_form_line_integral(model, traj, noise, form: FormField,
     if q > 1 and not model.gradient_system:
         raise NotGradientSystem("q-form line integrals need a gradient h-Brownian system")
     _require_codiff(form)
-    xs = traj.states[:-1]  # left endpoints
-    Xm = model.X(xs)
-    xdb = np.einsum("bnm,bm->bn", Xm, noise.increments)
+    xs = traj.states[:-1]  # left endpoints, one row per step
+    dWs = noise.increments
     alphas = [p.vectors[:-1] for p in alpha_paths]
-    ito = float(np.sum(form.eval(xs, xdb, *alphas))) / q
-    corr = float(np.sum(form.codiff(xs, *alphas))) * traj.grid.dt
-    return ito - 0.5 * corr
+    incs = line_integral_step(form, traj.grid, range(q - 1))(
+        None, xs, apply_coeff(model, xs, dWs), dWs, alphas)
+    # in step order, as simulate's running total adds them
+    return float(np.cumsum(incs)[-1])
 
 
 def line_integral_step(form: FormField, grid: TimeGrid, rest):

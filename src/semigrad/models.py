@@ -64,7 +64,7 @@ class DiffusionModel:
     must be supplied.  ``Y`` is a right inverse of X on the tangent space;
     when omitted it is computed pointwise from X.  ``hess_h`` is the
     covariant derivative of the drift vector field for h-Brownian systems
-    (zero when ``h`` is identically zero), used by the Hessian flow.
+    (zero when h is constant), used by the Hessian flow.
     """
 
     n: int
@@ -78,8 +78,6 @@ class DiffusionModel:
     D2Z: Optional[Callable] = None      # (x, u, v) -> (B, n)
     Y: Optional[Callable] = None        # x -> (B, m, n)
     DY: Optional[Callable] = None       # (x, u, v) -> (B, m)
-    h: Optional[Callable] = None        # x -> (B,)
-    grad_h: Optional[Callable] = None   # x -> (B, n)
     hess_h: Optional[Callable] = None   # (x, w) -> (B, n)
     geometry: Optional[ManifoldGeometry] = None
     kind: str = "custom"
@@ -112,7 +110,7 @@ class LieGroupModel(DiffusionModel):
 
     The frame at a group element g is the left translate of an orthonormal
     Lie-algebra basis scaled by ``noise_scale``; integration uses the exact
-    exponential update g exp(scale * dB^a E_a + drift dt).
+    exponential update g exp(scale * dB^a E_a).
     """
 
     group_dim: int = 3
@@ -213,13 +211,12 @@ def _gram_right_inverse(Xm) -> np.ndarray:
 
 
 def make_flat_model(n, m, X, Z=None, *, A=None, DX=None, D2X=None, DZ=None,
-                    D2Z=None, Y=None, DY=None, h=None, grad_h=None, hess_h=None,
+                    D2Z=None, Y=None, DY=None, hess_h=None,
                     h_brownian=False, domain=(-2.0, 2.0), kind="flat") -> DiffusionModel:
     """Assemble a flat-space model from batched coefficient callbacks."""
     model = DiffusionModel(n=n, m=m, X=X, A=A, Z=Z, DX=DX, D2X=D2X, DZ=DZ,
-                           D2Z=D2Z, Y=Y, DY=DY, h=h, grad_h=grad_h,
-                           hess_h=hess_h, kind=kind, h_brownian=h_brownian,
-                           domain=domain)
+                           D2Z=D2Z, Y=Y, DY=DY, hess_h=hess_h, kind=kind,
+                           h_brownian=h_brownian, domain=domain)
     probe = np.zeros((1, n))
     Xm = np.asarray(model.X(probe))
     if Xm.shape != (1, n, m):
@@ -242,19 +239,16 @@ def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
     """Standard Brownian motion dx = sigma dB on R^n (h-Brownian with h = 0)."""
     eye = sigma * np.eye(n)
     inv = np.eye(n) / sigma
-    zeros_vec = lambda x: np.zeros_like(x)
     model = make_flat_model(
         n, n,
         X=_const_matrix_field(eye),
-        Z=zeros_vec,
+        Z=lambda x: np.zeros_like(x),
         DX=lambda x, v: np.zeros(x.shape + (n,)),
         D2X=lambda x, u, v: np.zeros(x.shape + (n,)),
         DZ=lambda x, v: np.zeros_like(v),
         D2Z=lambda x, u, v: np.zeros_like(u),
         Y=_const_matrix_field(inv),
         DY=lambda x, u, v: np.zeros_like(u),
-        h=lambda x: np.zeros(x.shape[:-1]),
-        grad_h=zeros_vec,
         hess_h=lambda x, w: np.zeros_like(w),
         h_brownian=True,
         kind="bm",
@@ -284,8 +278,6 @@ def make_ou_model(rate=1.0) -> DiffusionModel:
         D2Z=lambda x, u, v: np.zeros_like(u),
         Y=_const_matrix_field(np.eye(1)),
         DY=lambda x, u, v: np.zeros_like(u),
-        h=lambda x: -0.5 * r * np.einsum("...n,...n->...", x, x),
-        grad_h=lambda x: -r * x,
         hess_h=lambda x, w: -r * w,
         h_brownian=True,
         kind="ou",
@@ -378,8 +370,6 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
         DZ=lambda x, v: -c * v,
         D2Z=lambda x, u, v: np.zeros_like(u),
         Y=X,  # projection is self-adjoint idempotent, so Y = X^T = X
-        h=lambda x: np.zeros(x.shape[:-1]),
-        grad_h=lambda x: np.zeros_like(x),
         hess_h=lambda x, w: np.zeros_like(w),
         geometry=_sphere_geometry(n),
         kind="gradient_sphere" if n > 2 else "circle",
@@ -482,7 +472,7 @@ def _so3_geometry(scale) -> ManifoldGeometry:
                             sample=sample)
 
 
-def make_so3_model(noise_scale=1.0, algebra_drift=None) -> LieGroupModel:
+def make_so3_model(noise_scale=1.0) -> LieGroupModel:
     """Left-invariant Brownian system on SO(3) with the bi-invariant metric.
 
     States are rotation matrices flattened to R^9.  The frame at g maps the
@@ -492,7 +482,6 @@ def make_so3_model(noise_scale=1.0, algebra_drift=None) -> LieGroupModel:
     if not noise_scale > 0:
         raise DimensionMismatch("noise_scale must be positive")
     s = float(noise_scale)
-    drift = np.zeros(3) if algebra_drift is None else np.asarray(algebra_drift, float)
 
     def X(g):
         G = g.reshape(g.shape[:-1] + (3, 3))
@@ -515,31 +504,22 @@ def make_so3_model(noise_scale=1.0, algebra_drift=None) -> LieGroupModel:
         return rows.reshape(g.shape[:-1] + (3, 9))
 
     def step(g, dW, dt):
-        body = s * dW + drift * dt
         G = g.reshape(g.shape[:-1] + (3, 3))
-        out = G @ rotation_exp(body)
+        out = G @ rotation_exp(s * dW)
         return out.reshape(g.shape)
-
-    def A(g):
-        if not np.any(drift):
-            return np.zeros_like(g)
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        return (G @ skew_from_axis(drift)).reshape(g.shape)
 
     geometry = _so3_geometry(s)
     geometry.step = step
     model = LieGroupModel(
         n=9, m=3,
         X=X,
-        A=A,
+        A=lambda g: np.zeros_like(g),
         Z=Z,
         DX=DX,
         D2X=lambda g, u, v: np.zeros(g.shape[:-1] + (9, 3)),
         DZ=DZ,
         D2Z=lambda g, u, v: np.zeros_like(u),
         Y=Y,
-        h=lambda g: np.zeros(g.shape[:-1]),
-        grad_h=lambda g: np.zeros_like(g),
         hess_h=lambda g, w: np.zeros_like(w),
         geometry=geometry,
         kind="lie_group",

@@ -61,7 +61,6 @@ class Trajectory:
     grid: TimeGrid
     blew_up: bool = False
     blow_up_step: Optional[int] = None
-    fk_weight: Optional[float] = None
 
 
 def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> NoisePath:

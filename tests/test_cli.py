@@ -68,6 +68,12 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig):
             _cfg(n_steps=0)
         with pytest.raises(InvalidConfig):
+            _cfg(delta=0.0)
+        with pytest.raises(InvalidConfig):
+            _cfg(n_inner=0)
+        with pytest.raises(InvalidConfig, match="n_paths"):
+            _cfg(n_paths="abc")
+        with pytest.raises(InvalidConfig):
             parse_config_text("scenario: bm1d")
         with pytest.raises(InvalidConfig):
             parse_config_text("   ")
@@ -214,6 +220,26 @@ class TestMainEntry:
                             "n_paths=100\nn_steps=10\n")
         assert main(["run", "--config", str(cfg_file)]) == 1
         assert "SEMIGRAD_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,field", [("--steps", "n_steps"), ("--paths", "n_paths")])
+    def test_check_zero_override_exits_1(self, capsys, flag, field):
+        assert main(["check", "bm1d", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and "Traceback" not in err
+
+    def test_run_non_numeric_value_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\nn_paths=abc\n")
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_paths" in err
+
+    def test_suite_malformed_json_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('[{"scenario": "bm1d",')
+        assert main(["suite", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest" in err
 
     def test_run_unknown_scenario_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.txt"

@@ -10,7 +10,7 @@ from semigrad.diagnostics import (constraint_violation, curvature_rho,
                                   gronwall_gradient_bound, hp_report,
                                   martingale_mean_check, moment_bound_check,
                                   sobolev_norm_check, variation_moment)
-from semigrad.errors import UnsupportedModel, ZeroDirection
+from semigrad.errors import InvalidConfig, UnsupportedModel, ZeroDirection
 from semigrad.models import make_flat_model, with_fd_derivatives
 
 from conftest import make_cubic_blowup_model, make_sine_noise_model
@@ -183,6 +183,20 @@ class TestFiniteDifferenceOracle:
                                      n_paths=500, seed=10)
         assert abs(r.mean - np.exp(-1)) < 2 * GRID.dt
         assert r.std_error < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+    def test_zero_or_nonfinite_delta_rejected(self, bm1, delta):
+        obs = sg.get_scenario("bm1d").observables["sin"]
+        with pytest.raises(InvalidConfig):
+            finite_difference_oracle(bm1, obs, GRID, [0.0], [1.0], delta=delta,
+                                     n_paths=256, seed=12)
+
+    def test_negative_delta_is_the_same_difference(self, bm1):
+        obs = sg.get_scenario("bm1d").observables["sin"]
+        a, b = (finite_difference_oracle(bm1, obs, TimeGrid(1.0, 20), [0.0], [1.0],
+                                         delta=d, n_paths=256, seed=12)
+                for d in (1e-3, -1e-3))
+        assert a.mean == b.mean
 
     def test_sphere_geodesic_perturbation(self, sphere):
         sc = sg.get_scenario("sphere3")

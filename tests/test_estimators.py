@@ -131,6 +131,11 @@ class TestBelHessian:
                            variant="nested", n_paths=4000, seed=14, n_inner=8)
         assert abs(a.mean - b.mean) < joint_tol(a, b)
 
+    def test_nested_needs_inner_paths(self, bm1):
+        with pytest.raises(InvalidConfig, match="n_inner"):
+            sg.bel_hessian(bm1, sin_obs(), TimeGrid(1.0, 20), [0.0], [1.0], [1.0],
+                           variant="nested", n_inner=0, n_paths=256, seed=0)
+
     def test_odd_steps_rejected(self, bm1):
         with pytest.raises(InvalidConfig):
             sg.bel_hessian(bm1, sin_obs(), TimeGrid(1.0, 401), [0.0], [1.0], [1.0],
@@ -378,6 +383,15 @@ class TestResultContract:
         assert r.n_rejected + (r.n_paths - r.n_rejected) == r.n_paths
         if r.n_rejected / r.n_paths > 0.01:
             assert r.metadata["invalid"]
+
+    def test_zero_paths_rejected(self, bm1):
+        grid = TimeGrid(1.0, 20)
+        bins = ConditionalBinSpec(target=np.array([0.0]), bandwidth=0.5)
+        for run in (lambda: sg.semigroup_value(bm1, sin_obs(), grid, [0.0], n_paths=0),
+                    lambda: sg.bel_gradient(bm1, sin_obs(), grid, [0.0], [1.0], n_paths=0),
+                    lambda: sg.score_gradient(bm1, grid, [0.0], [1.0], bins, n_paths=0)):
+            with pytest.raises(InvalidConfig, match="n_paths"):
+                run()
 
     def test_std_error_definition(self, bm1):
         r = sg.semigroup_value(bm1, sin_obs(), GRID, [0.0], n_paths=5000, seed=43)

@@ -8,10 +8,12 @@ from semigrad.errors import (DegreeMismatch, MissingCodifferential, NotClosed,
 from semigrad.forms import (AlternatingTensor, FormField, angle_form_s1,
                             as_alternating,
                             form_exterior_gradient, line_integral_one_form,
+                            line_integral_step,
                             one_form_semigroup, q_form_line_integral,
                             q_form_semigroup, scaled_volume_form_s2,
                             tangent_frame, volume_form_s2,
                             zero_form_from_observable, wedge)
+from semigrad.paths import simulate
 from semigrad.variation import evolve_first_variation
 
 from conftest import joint_tol
@@ -110,6 +112,26 @@ class TestQFormLineIntegral:
             oracle += 0.5 * comp.apply(coords_db, coords_a)
             # codifferential of the volume form vanishes, no ds term
         assert abs(got - oracle) < 1e-12
+
+    @pytest.mark.parametrize("scenario,form_id", [("circle", "exact:sin"),
+                                                  ("circle", "dtheta_s1"),
+                                                  ("sphere3", "vol_s2")])
+    def test_stored_path_equals_kernel_total(self, scenario, form_id):
+        # the stored-path line integral sums the kernel's increment in step order
+        sc = sg.get_scenario(scenario)
+        model = sc.make()
+        form = sc.form(form_id)
+        grid = TimeGrid(0.5, 100)
+        vs = () if form.degree == 1 else (sc.v0,)
+        for p in range(20):
+            noise = generate_noise(grid, 55, p, model.m)
+            traj = integrate_ito(model, sc.x0, grid, noise)
+            alphas = [evolve_first_variation(model, traj, noise, v) for v in vs]
+            got = q_form_line_integral(model, traj, noise, form, alphas)
+            _, _, _, (total,) = simulate(
+                model, grid, sc.x0, noise.increments[None], vs=vs,
+                sums=[line_integral_step(form, grid, range(form.degree - 1))])
+            assert got == total[0]
 
     def test_degree_mismatch(self, sphere):
         grid = TimeGrid(0.5, 10)
