@@ -23,12 +23,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import diagnostics, estimators, forms
+from . import diagnostics
 from .errors import InvalidConfig, SemigradError, UnknownEstimator
-from .models import (PotentialField, apply_coeff, apply_right_inverse,
-                     sample_directions, sample_points, skew_from_axis)
+from .models import apply_coeff, apply_right_inverse, sample_directions, sample_points
 from .paths import TimeGrid
-from .registry import ESTIMATOR_IDS, get_scenario, scenario_ids
+from .registry import (ESTIMATOR_IDS, ESTIMATORS, ambient_direction, get_scenario,
+                       scenario_ids)
 
 CSV_COLUMNS = ["scenario", "estimator", "t", "n_paths", "n_steps", "seed",
                "mean", "std_error", "oracle", "abs_error", "pass", "wall_ms"]
@@ -58,8 +58,8 @@ class ExperimentConfig:
     format: str = "json"
 
     def validate(self):
-        if self.t <= 0:
-            raise InvalidConfig("t must be positive")
+        if not 0 < self.t < np.inf:
+            raise InvalidConfig(f"t must be positive and finite, got {self.t}")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be >= 1")
         if self.n_steps < 1:
@@ -68,18 +68,15 @@ class ExperimentConfig:
             raise InvalidConfig("delta must be finite and nonzero")
         if self.n_inner < 1:
             raise InvalidConfig("n_inner must be >= 1")
+        if self.format not in ("json", "csv"):
+            raise InvalidConfig(f"format must be json or csv, got {self.format!r}")
         if self.estimator not in ESTIMATOR_IDS:
             raise UnknownEstimator(
                 f"unknown estimator {self.estimator!r}; known: {list(ESTIMATOR_IDS)}")
         get_scenario(self.scenario)
 
     def echo(self) -> dict:
-        d = {}
-        for key, val in asdict(self).items():
-            if isinstance(val, np.ndarray):
-                val = [float(x) for x in val]
-            d[key] = val
-        return d
+        return _json_safe(asdict(self))
 
 
 @dataclass
@@ -110,12 +107,8 @@ class ReportRecord:
                 f"{self.wall_ms:.1f}"]
 
     def to_json(self) -> dict:
-        return {"config": self.config, "mean": self.mean,
-                "std_error": self.std_error, "n_paths": self.n_paths,
-                "n_rejected": self.n_rejected, "seed": self.seed,
-                "oracle": self.oracle, "abs_error": self.abs_error,
-                "pass": self.passed, "wall_ms": self.wall_ms,
-                "metadata": _json_safe(self.metadata), "error": self.error}
+        return {("pass" if k == "passed" else k): v
+                for k, v in _json_safe(asdict(self)).items()}
 
 
 def _json_safe(obj):
@@ -190,23 +183,6 @@ def _load_json(text, what):
         raise InvalidConfig(f"{what} is not valid JSON: {exc}") from None
 
 
-def _build_potential(cfg: ExperimentConfig) -> PotentialField:
-    text = cfg.potential or "const:0"
-    kind, _, arg = text.partition(":")
-    val = float(arg or 0.0)
-    if kind == "const":
-        return PotentialField(
-            V=lambda t, x: np.full(x.shape[:-1], val),
-            dV=lambda t, x: np.zeros_like(x),
-            upper_bound=val, name=text)
-    if kind == "ramp":
-        return PotentialField(
-            V=lambda t, x: np.full(x.shape[:-1], val * t),
-            dV=lambda t, x: np.zeros_like(x),
-            upper_bound=max(val * cfg.t, 0.0), name=text)
-    raise InvalidConfig(f"unknown potential {text!r} (use const:<c> or ramp:<a>)")
-
-
 def _run_estimator(cfg: ExperimentConfig):
     sc = get_scenario(cfg.scenario)
     model = sc.make()
@@ -215,55 +191,8 @@ def _run_estimator(cfg: ExperimentConfig):
     v0 = cfg.v0 if cfg.v0 is not None else sc.v0
     u0 = cfg.u0 if cfg.u0 is not None else sc.u0
     cfg.x0, cfg.v0, cfg.u0 = np.asarray(x0, float), np.asarray(v0, float), np.asarray(u0, float)
-    kw = dict(n_paths=cfg.n_paths, seed=cfg.seed)
-    est = cfg.estimator
-    if est == "semigroup_value":
-        return estimators.semigroup_value(model, sc.observable(cfg.observable),
-                                          grid, x0, **kw)
-    if est == "pathwise_gradient":
-        return estimators.pathwise_gradient(model, sc.observable(cfg.observable),
-                                            grid, x0, v0, **kw)
-    if est == "bel_gradient":
-        return estimators.bel_gradient(model, sc.observable(cfg.observable),
-                                       grid, x0, v0, **kw)
-    if est in ("bel_hessian_weights", "bel_hessian_nested"):
-        variant = est.rsplit("_", 1)[1]
-        return estimators.bel_hessian(model, sc.observable(cfg.observable),
-                                      grid, x0, u0, v0, variant=variant,
-                                      n_inner=cfg.n_inner, **kw)
-    if est == "potential_gradient":
-        return estimators.potential_gradient(model, sc.observable(cfg.observable),
-                                             _build_potential(cfg), grid, x0, v0, **kw)
-    if est == "hessian_flow_gradient":
-        return estimators.hessian_flow_gradient(model, sc.observable(cfg.observable),
-                                                grid, x0, v0, **kw)
-    if est == "score_gradient":
-        if cfg.y is None:
-            raise InvalidConfig("score_gradient needs a target point y")
-        bins = estimators.ConditionalBinSpec(target=np.asarray(cfg.y, float),
-                                             bandwidth=cfg.bandwidth,
-                                             kernel=cfg.kernel)
-        return estimators.score_gradient(model, grid, x0, v0, bins, **kw)
-    if est == "lie_group_gradient":
-        return estimators.lie_group_gradient(model, sc.observable(cfg.observable),
-                                             grid, v0, **kw)
-    if est == "finite_difference":
-        return diagnostics.finite_difference_oracle(model, sc.observable(cfg.observable),
-                                                    grid, x0, v0, delta=cfg.delta, **kw)
-    if est == "one_form_semigroup":
-        return forms.one_form_semigroup(model, sc.form(cfg.form), grid, x0, v0, **kw)
-    if est == "q_form_semigroup":
-        form = sc.form(cfg.form)
-        vectors = (v0,) if form.degree == 1 else (u0, v0)
-        return forms.q_form_semigroup(model, form, grid, x0, vectors, **kw)
-    if est == "form_exterior_gradient":
-        if cfg.form:
-            form = sc.form(cfg.form)
-        else:
-            form = forms.zero_form_from_observable(sc.observable(cfg.observable))
-        vectors = (v0,) if form.degree == 0 else (u0, v0)
-        return forms.form_exterior_gradient(model, form, grid, x0, vectors, **kw)
-    raise UnknownEstimator(est)
+    return ESTIMATORS[cfg.estimator](model, sc, cfg, grid,
+                                     dict(n_paths=cfg.n_paths, seed=cfg.seed))
 
 
 def _oracle_for(cfg: ExperimentConfig) -> Optional[float]:
@@ -309,13 +238,14 @@ def run_suite(manifest_path: str):
         raise InvalidConfig("suite manifest must be a JSON array of configs")
     records = []
     had_error = False
-    for raw in entries:
+    for i, raw in enumerate(entries):
         try:
-            cfg = config_from_dict(raw)
-            records.append(run_experiment(cfg))
+            if not isinstance(raw, dict):
+                raise InvalidConfig(f"manifest entry {i} is not a JSON object: {raw!r}")
+            records.append(run_experiment(config_from_dict(raw)))
         except Exception as exc:  # noqa: BLE001 - suite aggregates failures
             had_error = True
-            records.append(_error_record(raw, exc))
+            records.append(_error_record(raw if isinstance(raw, dict) else {}, exc))
     return records, had_error
 
 
@@ -350,9 +280,7 @@ def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     sc = get_scenario(scenario_id)
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)
-    v0 = sc.v0
-    if model.kind == "lie_group":
-        v0 = skew_from_axis(sc.v0).reshape(-1)
+    v0 = ambient_direction(model, sc.v0)
     checks = []
     checks.append(diagnostics.martingale_mean_check(
         model, grid, sc.x0, v0, n_paths=n_paths, seed=seed))

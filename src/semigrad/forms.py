@@ -203,11 +203,11 @@ def line_integral_step(form: FormField, grid: TimeGrid, rest):
 # form semigroup estimators
 
 
-def _check_form_model(model, form, need_closed=True):
+def _check_form_model(model, form):
     if form.degree > _MAX_DEGREE or model.n > _MAX_DIM:
         raise UnsupportedDegree(
             f"form estimators support q <= {_MAX_DEGREE} in dimension <= {_MAX_DIM}")
-    if need_closed and not form.is_closed:
+    if not form.is_closed:
         raise NotClosed("the form semigroup needs a closed form")
     if form.degree >= 2 and not model.gradient_system:
         raise NotGradientSystem("q >= 2 needs a gradient h-Brownian system")

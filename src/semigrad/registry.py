@@ -1,9 +1,11 @@
-"""Scenario, observable, form, and oracle registries for the runner.
+"""Scenario, observable, form, oracle and estimator registries for the runner.
 
 Each scenario bundles a model factory, default start point and directions,
 named observables, named forms, and closed-form oracle values for the
-estimator/observable pairs where one exists.  Everything is addressable by
-a stable string id so experiments are reproducible from flat configs.
+estimator/observable pairs where one exists.  ``ESTIMATORS`` maps each
+estimator id to the call that runs it on a scenario and a config.
+Everything is addressable by a stable string id so experiments are
+reproducible from flat configs.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownScenario
+from . import diagnostics, estimators, forms
+from .errors import InvalidConfig, UnknownScenario
 from .forms import angle_form_s1, exact_one_form, volume_form_s2
-from .models import (DiffusionModel, ScalarObservable, make_bm_model,
-                     make_gradient_sphere_model, make_ou_model, make_so3_model)
+from .models import (DiffusionModel, LieGroupModel, PotentialField, ScalarObservable,
+                     make_bm_model, make_gradient_sphere_model, make_ou_model,
+                     make_so3_model, skew_from_axis)
 
 
 @dataclass
@@ -41,23 +45,10 @@ class Scenario:
         return self.observables[name]
 
     def form(self, name):
-        if name.startswith("exact:"):
-            base = name.split(":", 1)[1]
-            key = f"exact:{base}"
-            if key in self.forms:
-                return self.forms[key]
-            raise UnknownScenario(f"scenario {self.id!r} has no exact form for {base!r}")
         if name not in self.forms:
             raise UnknownScenario(
                 f"scenario {self.id!r} has no form {name!r}; known: {sorted(self.forms)}")
         return self.forms[name]
-
-
-def _obs_sin():
-    return ScalarObservable(
-        f=lambda x: np.sin(x[..., 0]),
-        df=lambda x: np.stack([np.cos(x[..., 0])], axis=-1),
-        bound=1.0, name="sin")
 
 
 def _obs_identity_1d():
@@ -74,14 +65,14 @@ def _obs_square_1d():
         name="x_sq")
 
 
-def _obs_one(n):
+def _obs_one():
     return ScalarObservable(
         f=lambda x: np.ones(x.shape[:-1]),
         df=lambda x: np.zeros_like(x),
         bound=1.0, name="one")
 
 
-def _obs_coord(i, n, name):
+def _obs_coord(i, name):
     def df(x):
         out = np.zeros_like(x)
         out[..., i] = 1.0
@@ -90,7 +81,7 @@ def _obs_coord(i, n, name):
     return ScalarObservable(f=lambda x: x[..., i], df=df, bound=1.0, name=name)
 
 
-def _obs_ambient_sin(n):
+def _obs_sin():
     """sin of the first ambient coordinate (smooth bounded, no special symmetry)."""
 
     def df(x):
@@ -142,8 +133,7 @@ def _bm1d_scenario() -> Scenario:
         x0=np.array([0.0]), v0=np.array([1.0]), u0=np.array([1.0]))
     sc.observables = {
         "sin": _obs_sin(), "x": _obs_identity_1d(), "x_sq": _obs_square_1d(),
-        "one": _obs_one(1)}
-    sc.forms = {}
+        "one": _obs_one()}
 
     def grad_sin(cfg):
         return float(np.exp(-cfg.t / 2) * np.cos(cfg.x0[0]) * cfg.v0[0])
@@ -168,16 +158,10 @@ def _bm1d_scenario() -> Scenario:
         (cfg.y[0] - cfg.x0[0]) / cfg.t * cfg.v0[0])
 
     def potential_sin(cfg):
-        # constant potential factorizes out of the Feynman-Kac weight
-        if cfg.potential and cfg.potential.startswith("const:"):
-            c = float(cfg.potential.split(":")[1])
-            return float(np.exp(c * cfg.t) * np.exp(-cfg.t / 2)
-                         * np.cos(cfg.x0[0]) * cfg.v0[0])
-        if cfg.potential and cfg.potential.startswith("ramp:"):
-            a = float(cfg.potential.split(":")[1])
-            return float(np.exp(a * cfg.t ** 2 / 2) * np.exp(-cfg.t / 2)
-                         * np.cos(cfg.x0[0]) * cfg.v0[0])
-        return grad_sin(cfg)
+        # a potential depending on t only factorizes out of the Feynman-Kac weight
+        kind, c = parse_potential(cfg.potential)
+        return float(np.exp(_POTENTIALS[kind][2](c, cfg.t)) * np.exp(-cfg.t / 2)
+                     * np.cos(cfg.x0[0]) * cfg.v0[0])
 
     sc.oracles[("potential_gradient", "sin")] = potential_sin
     return sc
@@ -191,7 +175,7 @@ def _ou1d_scenario() -> Scenario:
         x0=np.array([0.0]), v0=np.array([1.0]), u0=np.array([1.0]))
     sc.observables = {
         "sin": _obs_sin(), "x": _obs_identity_1d(), "x_sq": _obs_square_1d(),
-        "one": _obs_one(1)}
+        "one": _obs_one()}
 
     for est in _GRADIENT_ESTIMATORS:
         sc.oracles[(est, "x")] = lambda cfg: float(np.exp(-cfg.t) * cfg.v0[0])
@@ -219,8 +203,8 @@ def _circle_scenario() -> Scenario:
         x0=x0, v0=v0, u0=v0.copy())
     # sin(theta) = x_2 and cos(theta) = x_1 on the embedded circle
     sc.observables = {
-        "sin": _obs_coord(1, 2, "sin"), "cos": _obs_coord(0, 2, "cos"),
-        "one": _obs_one(2)}
+        "sin": _obs_coord(1, "sin"), "cos": _obs_coord(0, "cos"),
+        "one": _obs_one()}
     sc.forms = {
         "dtheta_s1": angle_form_s1(),
         "exact:sin": exact_one_form(
@@ -241,7 +225,7 @@ def _circle_scenario() -> Scenario:
         np.exp(-cfg.t / 2) * np.sin(_theta(cfg.x0)))
     # harmonic forms are semigroup fixed points: the oracle is dtheta(v0)
     sc.oracles[("one_form_semigroup", "dtheta_s1")] = lambda cfg: float(
-        np.dot(_theta_tangent(cfg.x0), cfg.v0))
+        np.dot([-np.sin(_theta(cfg.x0)), np.cos(_theta(cfg.x0))], cfg.v0))
     sc.oracles[("one_form_semigroup", "exact:sin")] = grad_sin
     sc.oracles[("q_form_semigroup", "dtheta_s1")] = sc.oracles[("one_form_semigroup", "dtheta_s1")]
     sc.oracles[("form_exterior_gradient", "sin")] = grad_sin
@@ -250,11 +234,6 @@ def _circle_scenario() -> Scenario:
 
 def _theta(x):
     return float(np.arctan2(x[1], x[0]))
-
-
-def _theta_tangent(x):
-    th = _theta(x)
-    return np.array([-np.sin(th), np.cos(th)])
 
 
 def _sphere3_scenario() -> Scenario:
@@ -267,9 +246,9 @@ def _sphere3_scenario() -> Scenario:
         make=lambda: make_gradient_sphere_model(3),
         x0=x0, v0=v0, u0=u0)
     sc.observables = {
-        "height": _obs_coord(2, 3, "height"),
-        "sin": _obs_ambient_sin(3),
-        "one": _obs_one(3)}
+        "height": _obs_coord(2, "height"),
+        "sin": _obs_sin(),
+        "one": _obs_one()}
     sc.forms = {"vol_s2": volume_form_s2()}
 
     def grad_height(cfg):
@@ -295,15 +274,16 @@ def _so3_scenario() -> Scenario:
         make=lambda: make_so3_model(1.0),
         x0=x0, v0=v0, u0=v0.copy())
     sc.observables = {
-        "trace": _obs_trace(), "trace_e1": _obs_trace_e1(), "one": _obs_one(9)}
+        "trace": _obs_trace(), "trace_e1": _obs_trace_e1(), "one": _obs_one()}
 
     def grad_trace(cfg):
         return 0.0  # d(trace) vanishes on skew directions at the identity
 
     def grad_trace_e1(cfg):
-        # tr(E_1 g) is a Casimir eigenfunction: P_t f = e^(-t) f for unit scale
-        v = _alg_direction(cfg.v0)
-        return float(np.exp(-cfg.t) * (-2.0) * v[0])
+        # tr(E_1 g) is a Casimir eigenfunction: P_t f = e^(-t) f for unit scale.
+        # v0 is in algebra coordinates or a flattened skew matrix, whose [7] is v[0]
+        v = cfg.v0[7] if cfg.v0.shape == (9,) else cfg.v0[0]
+        return float(np.exp(-cfg.t) * (-2.0) * v)
 
     for est in ("bel_gradient", "lie_group_gradient", "finite_difference"):
         sc.oracles[(est, "trace")] = grad_trace
@@ -313,26 +293,9 @@ def _so3_scenario() -> Scenario:
     return sc
 
 
-def _alg_direction(v0):
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape == (9,):
-        from .models import axis_from_skew
-
-        return axis_from_skew(v0.reshape(3, 3))
-    return v0
-
-
-_SCENARIOS: dict[str, Scenario] = {}
-
-
-def _register(builder):
-    sc = builder()
-    _SCENARIOS[sc.id] = sc
-
-
-for _b in (_bm1d_scenario, _ou1d_scenario, _circle_scenario, _sphere3_scenario,
-           _so3_scenario):
-    _register(_b)
+_SCENARIOS: dict[str, Scenario] = {sc.id: sc for sc in (
+    _bm1d_scenario(), _ou1d_scenario(), _circle_scenario(), _sphere3_scenario(),
+    _so3_scenario())}
 
 
 def scenario_ids():
@@ -347,18 +310,101 @@ def get_scenario(scenario_id: str) -> Scenario:
             f"unknown scenario {scenario_id!r}; known: {scenario_ids()}") from None
 
 
-ESTIMATOR_IDS = (
-    "semigroup_value",
-    "pathwise_gradient",
-    "bel_gradient",
-    "bel_hessian_weights",
-    "bel_hessian_nested",
-    "potential_gradient",
-    "hessian_flow_gradient",
-    "score_gradient",
-    "lie_group_gradient",
-    "finite_difference",
-    "one_form_semigroup",
-    "q_form_semigroup",
-    "form_exterior_gradient",
-)
+def ambient_direction(model, v):
+    """Lie-group algebra coordinates -> flattened skew matrix; others unchanged."""
+    v = np.asarray(v, dtype=float)
+    if isinstance(model, LieGroupModel) and v.shape == (model.group_dim,):
+        return skew_from_axis(v).reshape(-1)
+    return v
+
+
+# kind -> (V(c, t), sup of V over [0, T], integral of V over [0, T])
+_POTENTIALS = {
+    "const": (lambda c, t: c, lambda c, T: c, lambda c, T: c * T),
+    "ramp": (lambda c, t: c * t, lambda c, T: max(c * T, 0.0), lambda c, T: c * T ** 2 / 2),
+}
+
+
+def parse_potential(text):
+    """``const:<c>`` (V = c) or ``ramp:<a>`` (V = a t) -> (kind, value); "" is const:0."""
+    kind, _, arg = (text or "const:0").partition(":")
+    try:
+        value = float(arg or 0.0)
+    except ValueError:
+        value = np.nan
+    if kind not in _POTENTIALS or not np.isfinite(value):
+        raise InvalidConfig(f"unknown potential {text!r} (use const:<c> or ramp:<a>)")
+    return kind, value
+
+
+def _gradient(fn):
+    """df(v0) from f, x0 and one ambient direction."""
+    return lambda model, sc, cfg, grid, kw: fn(
+        model, sc.observable(cfg.observable), grid, cfg.x0, ambient_direction(model, cfg.v0), **kw)
+
+
+def _hessian(variant):
+    return lambda model, sc, cfg, grid, kw: estimators.bel_hessian(
+        model, sc.observable(cfg.observable), grid, cfg.x0, ambient_direction(model, cfg.u0),
+        ambient_direction(model, cfg.v0), variant=variant, n_inner=cfg.n_inner, **kw)
+
+
+def _potential_gradient(model, sc, cfg, grid, kw):
+    kind, c = parse_potential(cfg.potential)
+    V, sup, _ = _POTENTIALS[kind]
+    potential = PotentialField(V=lambda t, x: np.full(x.shape[:-1], V(c, t)),
+                               dV=lambda t, x: np.zeros_like(x), upper_bound=sup(c, cfg.t),
+                               name=cfg.potential or "const:0")
+    return estimators.potential_gradient(model, sc.observable(cfg.observable), potential,
+                                         grid, cfg.x0, ambient_direction(model, cfg.v0), **kw)
+
+
+def _score_gradient(model, sc, cfg, grid, kw):
+    if cfg.y is None:
+        raise InvalidConfig("score_gradient needs a target point y")
+    bins = estimators.ConditionalBinSpec(target=np.asarray(cfg.y, float),
+                                         bandwidth=cfg.bandwidth, kernel=cfg.kernel)
+    return estimators.score_gradient(model, grid, cfg.x0, ambient_direction(model, cfg.v0),
+                                     bins, **kw)
+
+
+def _vectors(model, cfg, one):
+    """(v0,) if ``one`` else (u0, v0), as ambient vectors."""
+    return tuple(ambient_direction(model, v) for v in ((cfg.v0,) if one else (cfg.u0, cfg.v0)))
+
+
+def _q_form_semigroup(model, sc, cfg, grid, kw):
+    form = sc.form(cfg.form)
+    return forms.q_form_semigroup(model, form, grid, cfg.x0,
+                                  _vectors(model, cfg, form.degree == 1), **kw)
+
+
+def _form_exterior_gradient(model, sc, cfg, grid, kw):
+    form = (sc.form(cfg.form) if cfg.form else
+            forms.zero_form_from_observable(sc.observable(cfg.observable)))
+    return forms.form_exterior_gradient(model, form, grid, cfg.x0,
+                                        _vectors(model, cfg, form.degree == 0), **kw)
+
+
+# id -> call(model, scenario, cfg, grid, {n_paths, seed}) -> EstimatorResult
+ESTIMATORS = {
+    "semigroup_value": lambda model, sc, cfg, grid, kw: estimators.semigroup_value(
+        model, sc.observable(cfg.observable), grid, cfg.x0, **kw),
+    "pathwise_gradient": _gradient(estimators.pathwise_gradient),
+    "bel_gradient": _gradient(estimators.bel_gradient),
+    "bel_hessian_weights": _hessian("weights"),
+    "bel_hessian_nested": _hessian("nested"),
+    "potential_gradient": _potential_gradient,
+    "hessian_flow_gradient": _gradient(estimators.hessian_flow_gradient),
+    "score_gradient": _score_gradient,
+    "lie_group_gradient": lambda model, sc, cfg, grid, kw: estimators.lie_group_gradient(
+        model, sc.observable(cfg.observable), grid, cfg.v0, **kw),
+    "finite_difference": lambda model, sc, cfg, grid, kw: diagnostics.finite_difference_oracle(
+        model, sc.observable(cfg.observable), grid, cfg.x0, ambient_direction(model, cfg.v0),
+        delta=cfg.delta, **kw),
+    "one_form_semigroup": lambda model, sc, cfg, grid, kw: forms.one_form_semigroup(
+        model, sc.form(cfg.form), grid, cfg.x0, ambient_direction(model, cfg.v0), **kw),
+    "q_form_semigroup": _q_form_semigroup,
+    "form_exterior_gradient": _form_exterior_gradient,
+}
+ESTIMATOR_IDS = tuple(ESTIMATORS)

@@ -73,6 +73,12 @@ class TestConfigParsing:
             _cfg(n_inner=0)
         with pytest.raises(InvalidConfig, match="n_paths"):
             _cfg(n_paths="abc")
+        with pytest.raises(InvalidConfig, match="t must"):
+            _cfg(t="nan")
+        with pytest.raises(InvalidConfig, match="t must"):
+            _cfg(t="inf")
+        with pytest.raises(InvalidConfig, match="format"):
+            _cfg(format="xml")
         with pytest.raises(InvalidConfig):
             parse_config_text("scenario: bm1d")
         with pytest.raises(InvalidConfig):
@@ -132,6 +138,16 @@ class TestRunExperiment:
             scenario="so3", estimator="lie_group_gradient",
             observable="trace_e1", t=0.5, seed=5, n_paths=20_000, n_steps=200,
             tol_rel=0.05)))
+        assert rec.passed is True
+
+    @pytest.mark.parametrize("est", ["bel_gradient", "finite_difference"])
+    def test_so3_ambient_estimator_default_direction(self, est):
+        # the scenario's v0 is in algebra coordinates; ambient estimators get the skew matrix
+        cfg = config_from_dict(dict(
+            scenario="so3", estimator=est, observable="trace_e1", t=0.5, seed=5,
+            n_paths=20_000, n_steps=100, tol_rel=0.05))
+        rec = run_experiment(cfg)
+        assert rec.config["v0"] == [1.0, 0.0, 0.0]
         assert rec.passed is True
 
 
@@ -240,6 +256,38 @@ class TestMainEntry:
         assert main(["suite", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "manifest" in err
+
+    @pytest.mark.parametrize("potential", ["const:abc", "wave:1"])
+    def test_run_bad_potential_exits_1(self, tmp_path, capsys, potential):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=potential_gradient\nf=sin\n"
+                            f"potential={potential}\nn_paths=100\nn_steps=10\n")
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and potential in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_run_empty_const_potential_has_oracle(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=potential_gradient\nf=sin\n"
+                            "potential=const:\nn_paths=2000\nn_steps=50\n")
+        assert main(["run", "--config", str(cfg_file)]) in (0, 2)
+        out = json.loads(capsys.readouterr().out)
+        assert out["oracle"] == pytest.approx(np.exp(-0.5), rel=1e-15)
+
+    def test_suite_non_object_entry_exits_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([1, dict(
+            scenario="bm1d", estimator="bel_gradient", observable="sin",
+            n_paths=2000, n_steps=50, seed=1)]))
+        stem = str(tmp_path / "rep")
+        assert main(["suite", str(manifest), "--out", stem]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        payload = json.loads(open(stem + ".json").read())
+        assert len(payload) == 2
+        assert payload[0]["error"].startswith("InvalidConfig") and "entry 0" in payload[0]["error"]
+        assert payload[1]["error"] == "" and payload[1]["oracle"] is not None
+        assert len(list(csv.reader(open(stem + ".csv")))) == 3
 
     def test_run_unknown_scenario_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "bad.txt"
