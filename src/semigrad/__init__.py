@@ -12,8 +12,7 @@ from .errors import (AllPathsBlewUp, BlownUpPath, Degenerate, DegreeMismatch,
                      NotClosed, NotGradientSystem, NotLieGroup, SemigradError,
                      UnboundedPotential, UnknownEstimator, UnknownScenario,
                      UnsupportedDegree, UnsupportedModel, ZeroDirection)
-from .paths import (NoisePath, TimeGrid, Trajectory, generate_noise,
-                    integrate_ito, integrate_stratonovich,
+from .paths import (TimeGrid, Trajectory, generate_noise, integrate_ito,
                     stratonovich_to_ito_drift)
 from .models import (DiffusionModel, LieGroupModel, ManifoldGeometry,
                      PotentialField, ScalarObservable,
@@ -21,9 +20,9 @@ from .models import (DiffusionModel, LieGroupModel, ManifoldGeometry,
                      make_flat_model, make_gradient_sphere_model,
                      make_ou_model, make_so3_model, right_inverse,
                      with_fd_derivatives)
-from .variation import (HessianFlowPath, SecondVariationPath, VariationPath,
-                        evolve_first_variation, evolve_hessian_flow,
-                        evolve_second_variation, parallel_transport)
+from .variation import (VariationPath, evolve_first_variation,
+                        evolve_hessian_flow, evolve_second_variation,
+                        parallel_transport)
 from .estimators import (ConditionalBinSpec, EstimatorResult, bel_gradient,
                          bel_hessian, hessian_flow_gradient,
                          lie_group_gradient, pathwise_gradient,

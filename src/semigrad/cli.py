@@ -277,6 +277,9 @@ def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     """Diagnostic suite for one scenario; returns a list of BoundCheckReports."""
     if n_steps < 1:
         raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
+    # the samplers key Philox with uint64(seed + offset), offsets up to 7
+    if not 0 <= seed < 2 ** 64 - 7:
+        raise InvalidConfig(f"seed must be in [0, 2**64 - 7), got {seed}")
     sc = get_scenario(scenario_id)
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)

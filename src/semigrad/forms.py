@@ -23,8 +23,8 @@ import numpy as np
 from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
 from .estimators import EstimatorResult, _estimate
-from .models import apply_coeff, as_observable
-from .paths import TimeGrid, weight
+from .models import as_observable
+from .paths import TimeGrid, _carry, weight
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
@@ -151,7 +151,7 @@ def as_alternating(form: FormField, model, x, frame=None) -> AlternatingTensor:
 
 
 # ---------------------------------------------------------------------------
-# line integrals along stored trajectories (per path, vectorized over steps)
+# line integrals along stored trajectories (per path, through simulate)
 
 
 def _require_codiff(form):
@@ -182,13 +182,11 @@ def q_form_line_integral(model, traj, noise, form: FormField,
     if q > 1 and not model.gradient_system:
         raise NotGradientSystem("q-form line integrals need a gradient h-Brownian system")
     _require_codiff(form)
-    xs = traj.states[:-1]  # left endpoints, one row per step
-    dWs = noise.increments
-    alphas = [p.vectors[:-1] for p in alpha_paths]
-    incs = line_integral_step(form, traj.grid, range(q - 1))(
-        None, xs, apply_coeff(model, xs, dWs), dWs, alphas)
-    # in step order, as simulate's running total adds them
-    return float(np.cumsum(incs)[-1])
+    # the stored alpha vectors ride along as fields, step k reading vectors[k]
+    _, (total,) = _carry(model, traj, noise, [p.vectors[0] for p in alpha_paths],
+                         lambda k, x, x1, vs, dW: [p.vectors[k + 1][None] for p in alpha_paths],
+                         [line_integral_step(form, traj.grid, range(q - 1))])
+    return float(total)
 
 
 def line_integral_step(form: FormField, grid: TimeGrid, rest):

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import variation
-from .errors import DimensionMismatch, MissingDerivative
+from .errors import DimensionMismatch, InvalidConfig, MissingDerivative
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
@@ -44,15 +44,6 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Brownian increments for one path: shape (n_steps, m), each N(0, dt I)."""
-
-    increments: np.ndarray
-    seed: int
-    path_index: int
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Discretized solution path plus blow-up bookkeeping."""
@@ -63,16 +54,17 @@ class Trajectory:
     blow_up_step: Optional[int] = None
 
 
-def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> NoisePath:
-    """Draw the n_steps Brownian increments of one path.
+def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.ndarray:
+    """The (n_steps, m) Brownian increments of one path, each N(0, dt I).
 
     Deterministic in (seed, path_index); distinct path indices give
     independent streams.  The increments are row 0 of ``noise_block``.
     """
     if m < 1:
         raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-    increments = noise_block(grid, seed, path_index, path_index + 1, m)[0]
-    return NoisePath(increments=increments, seed=seed, path_index=path_index)
+    if not 0 <= path_index <= _UINT64_MASK:
+        raise InvalidConfig(f"path_index must be in [0, 2**64), got {path_index}")
+    return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
 class _NoiseSource:
@@ -117,13 +109,11 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
 
 
 def stratonovich_to_ito_drift(model, x) -> np.ndarray:
-    """Ito drift A(x) + 1/2 sum_i DX^i(x)(X^i(x)) of a Stratonovich model."""
+    """Ito drift A(x) + 1/2 sum_i DX^i(x)(X^i(x)) of a Stratonovich model at x (n,) or (B, n)."""
     if model.DX is None:
         raise MissingDerivative("DX is required for the Stratonovich drift correction")
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    out = _stratonovich_ito_drift(model, x[None, :] if squeeze else x)
-    return out[0] if squeeze else out
+    return _stratonovich_ito_drift(model, np.atleast_2d(x)).reshape(x.shape)
 
 
 def _stratonovich_ito_drift(model, x) -> np.ndarray:
@@ -139,11 +129,11 @@ def _stratonovich_ito_drift(model, x) -> np.ndarray:
 
 
 def resolve_ito_drift(model):
-    """Return a batched callable for the Ito drift of ``model``."""
+    """The batched Ito drift of ``model``: Z, else A plus the Stratonovich correction."""
     if model.Z is not None:
         return model.Z
-    if model.A is None and model.DX is None:
-        raise MissingDerivative("model supplies neither Z nor (A, DX)")
+    if model.A is None:
+        raise MissingDerivative("model supplies no drift (Z or A)")
     if model.DX is None:
         raise MissingDerivative("DX is required to convert the Stratonovich drift")
     return lambda x: _stratonovich_ito_drift(model, x)
@@ -228,52 +218,53 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     return x, alive, vs, totals
 
 
-def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray):
-    """Integrate a block of paths, returning all states and blow-up flags.
+def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray, *,
+                    vs=(), flow=None, sums=(), step=None):
+    """Step a block of paths through ``simulate``, recording every state and field.
 
-    Returns (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none).
-    Steps through ``simulate`` exactly like the estimators, recording every
-    state on the way; used by the per-path wrappers and path-storing tests.
+    Takes ``simulate``'s own ``vs``/``flow``/``sums``/``step``.  Returns
+    (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none,
+    fields: one (B, K+1, n) array per entry of vs, totals).
     """
     B, K, _ = dWs.shape
     states = np.empty((B, K + 1, model.n))
     alives = np.empty((B, K + 1), dtype=bool)
+    fields = [np.empty((B, K + 1, model.n)) for _ in vs]
 
     def record(k, x, x_dB, dW, vs, alive):
         states[:, k] = x
         alives[:, k] = alive
+        for field, v in zip(fields, vs):
+            field[:, k] = v
 
-    x, alive, _, _ = simulate(model, grid, x0s, dWs, hook=record)
-    states[:, K] = x
-    alives[:, K] = alive
+    x, alive, vs, totals = simulate(model, grid, x0s, dWs, vs=vs, flow=flow,
+                                    sums=sums, hook=record, step=step)
+    record(K, x, None, None, vs, alive)
     # survival is monotone, so the first False marks the blow-up step
     blow_step = np.where(alive, -1, np.argmin(alives, axis=1))
-    return states, alive, blow_step
+    return states, alive, blow_step, fields, totals
 
 
-def _integrate_single(model, x0, grid, noise) -> Trajectory:
+def integrate_ito(model, x0, grid: TimeGrid, noise: np.ndarray) -> Trajectory:
+    """dx = X(x) dB + Z(x) dt on one path's increments (n_steps, m), as ``simulate`` steps it."""
     x0 = variation._as_vector(model, x0)
-    states, alive, blow_step = integrate_block(model, x0[None, :], grid,
-                                               noise.increments[None])
+    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid, noise[None])
     blew = not alive[0]
-    return Trajectory(states=states[0], grid=grid, blew_up=blew,
-                      blow_up_step=int(blow_step[0]) if blew else None)
+    return Trajectory(states[0], grid, blew, int(blow_step[0]) if blew else None)
 
 
-def integrate_ito(model, x0, grid: TimeGrid, noise: NoisePath) -> Trajectory:
-    """Euler-Maruyama for dx = X(x) dB + Z(x) dt, retracting constrained models."""
-    if model.Z is None and model.A is None:
-        raise MissingDerivative("model supplies no drift (Z or A)")
-    return _integrate_single(model, x0, grid, noise)
+def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
+    """Carry the fields vs and running sums along the stored states of ``traj``.
 
-
-def integrate_stratonovich(model, x0, grid: TimeGrid, noise: NoisePath) -> Trajectory:
-    """Integrate dx = X(x) o dB + A(x) dt via the Ito drift correction.
-
-    When the model declares an analytic Ito drift Z consistent with (A, DX)
-    it is used directly, so Ito and Stratonovich entry points produce
-    bit-identical trajectories for the built-in models.
+    ``simulate``'s step k moves to stored state k+1 and hands the sums X(x_k) dW_k
+    for the path's increments ``noise`` (zeros when None).  Returns (fields, totals).
     """
-    if model.Z is None and model.DX is None:
-        raise MissingDerivative("Stratonovich integration needs DX for the drift correction")
-    return _integrate_single(model, x0, grid, noise)
+    if noise is None:
+        noise = np.zeros((traj.grid.n_steps, model.m))
+
+    def stored(k, x, dW):
+        return traj.states[k + 1][None], apply_coeff(model, x, dW)
+
+    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid, noise[None],
+                                              vs=vs, flow=flow, sums=sums, step=stored)
+    return [f[0] for f in fields], [t[0] for t in totals]

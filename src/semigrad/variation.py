@@ -4,44 +4,26 @@ First variation v_t (the pathwise derivative of the solution map), second
 variation w_t (its derivative in a second initial direction), the
 deterministic Hessian flow W_t driven by -Ric/2 + covariant drift
 derivative, and discrete parallel transport.  Step functions are batched
-over paths; the public operations wrap them per path.
+over paths and are the flows of ``paths.simulate``.  The per-path
+operations carry one field along the stored states of a trajectory
+through that same kernel and return it as a ``VariationPath``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import paths  # a cycle: paths reads this module's flows at call time
 from .errors import BlownUpPath, DimensionMismatch, MissingDerivative, MissingGeometry
-
-if TYPE_CHECKING:  # paths imports this module at load time for the kernel's flows
-    from .paths import NoisePath, Trajectory
 
 
 @dataclass(eq=False)
 class VariationPath:
-    """First-variation vectors v_k along a path, v_0 = requested v0."""
+    """A field carried along a path: vectors[k] at step k, vectors[0] = v0."""
 
     vectors: np.ndarray  # (n_steps + 1, n)
-    v0: np.ndarray
-
-
-@dataclass(eq=False)
-class SecondVariationPath:
-    """Second-variation vectors w_k for an initial direction pair (u0, v0)."""
-
-    vectors: np.ndarray
-    u0: np.ndarray
-    v0: np.ndarray
-
-
-@dataclass(eq=False)
-class HessianFlowPath:
-    """Damped-transport flow W_k along a path, W_0 = v0."""
-
-    vectors: np.ndarray
     v0: np.ndarray
 
 
@@ -158,60 +140,46 @@ def _as_vector(model, v):
     return v
 
 
-def _replay(traj: Trajectory, w0, step) -> np.ndarray:
-    """Carry w0 along the stored states: w_(k+1) = step(k, x_k, x_(k+1), w_k)."""
-    K = traj.grid.n_steps
-    out = np.empty((K + 1, w0.shape[-1]))
-    out[0] = w0
-    w = w0[None, :]
-    for k in range(K):
-        w = step(k, traj.states[k][None], traj.states[k + 1][None], w)
-        out[k + 1] = w[0]
-    return out
-
-
-def evolve_first_variation(model, traj: Trajectory, noise: NoisePath,
+def evolve_first_variation(model, traj: paths.Trajectory, noise: np.ndarray,
                            v0) -> VariationPath:
     """Tangent flow v_k along the trajectory, driven by the same noise."""
     model.require("DX", "DZ")
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
     v0 = _as_vector(model, v0)
-    dt = traj.grid.dt
-    out = _replay(traj, v0, lambda k, x, x1, v: first_variation_step(
-        model, x, x1, v, noise.increments[k][None], dt))
-    return VariationPath(vectors=out, v0=v0)
+    (vectors,), _ = paths._carry(model, traj, noise, [v0])
+    return VariationPath(vectors=vectors, v0=v0)
 
 
-def evolve_second_variation(model, traj: Trajectory, noise: NoisePath,
-                            u_path: VariationPath,
-                            v_path: VariationPath) -> SecondVariationPath:
+def evolve_second_variation(model, traj: paths.Trajectory, noise: np.ndarray,
+                            u_path: VariationPath, v_path: VariationPath) -> VariationPath:
     """Second-variation flow for (u0, v0); u_path and v_path share the noise."""
     model.require("DX", "DZ", "D2X", "D2Z")
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
     dt = traj.grid.dt
+    u, v = u_path.vectors, v_path.vectors
     w0 = initial_second_variation(model, traj.states[0][None],
                                   u_path.v0[None], v_path.v0[None])[0]
-    out = _replay(traj, w0, lambda k, x, x1, w: second_variation_step(
-        model, x, x1, u_path.vectors[k][None], u_path.vectors[k + 1][None],
-        v_path.vectors[k][None], w, noise.increments[k][None], dt))
-    return SecondVariationPath(vectors=out, u0=u_path.v0, v0=v_path.v0)
+
+    def flow(k, x, x1, ws, dW):
+        return [second_variation_step(model, x, x1, u[k][None], u[k + 1][None],
+                                      v[k][None], ws[0], dW, dt)]
+
+    (vectors,), _ = paths._carry(model, traj, noise, [w0], flow)
+    return VariationPath(vectors=vectors, v0=w0)
 
 
-def evolve_hessian_flow(model, traj: Trajectory, v0) -> HessianFlowPath:
+def evolve_hessian_flow(model, traj: paths.Trajectory, v0) -> VariationPath:
     """Deterministic flow W_k = (-Ric/2 + covariant drift derivative) along the path."""
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
     v0 = _as_vector(model, v0)
-    drift_deriv = covariant_drift_deriv(model)
-    dt = traj.grid.dt
-    out = _replay(traj, v0, lambda k, x, x1, W: hessian_flow_step(
-        model, x, x1, W, dt, drift_deriv))
-    return HessianFlowPath(vectors=out, v0=v0)
+    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow="hessian")
+    return VariationPath(vectors=vectors, v0=v0)
 
 
-def parallel_transport(model, traj: Trajectory, v0) -> VariationPath:
+def parallel_transport(model, traj: paths.Trajectory, v0) -> VariationPath:
     """Discrete parallel transport of v0 along the trajectory.
 
     Flat models return the constant path; constrained models project onto
@@ -220,5 +188,6 @@ def parallel_transport(model, traj: Trajectory, v0) -> VariationPath:
     v0 = _as_vector(model, v0)
     if model.geometry is not None and traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
-    out = _replay(traj, v0, lambda k, x, x1, v: transport_step(model, x, x1, v))
-    return VariationPath(vectors=out, v0=v0)
+    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow=lambda k, x, x1, vs, dW: [
+        transport_step(model, x, x1, v) for v in vs])
+    return VariationPath(vectors=vectors, v0=v0)

@@ -243,6 +243,13 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sid,seed", [("bm1d", "-1"), ("sphere3", "-1"),
+                                          ("so3", str(2 ** 64 - 1))])
+    def test_check_seed_out_of_range_exits_1(self, capsys, sid, seed):
+        assert main(["check", sid, "--seed", seed, "--paths", "100", "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
     def test_run_non_numeric_value_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\nn_paths=abc\n")

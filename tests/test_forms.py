@@ -106,7 +106,7 @@ class TestQFormLineIntegral:
             x = traj.states[k]
             frame = tangent_frame(sphere, x)
             comp = as_alternating(vol, sphere, x, frame)
-            x_db = sphere.apply_X(x[None], noise.increments[k][None])[0]
+            x_db = sphere.apply_X(x[None], noise[k][None])[0]
             coords_db = frame @ x_db
             coords_a = frame @ alpha.vectors[k]
             oracle += 0.5 * comp.apply(coords_db, coords_a)
@@ -129,7 +129,7 @@ class TestQFormLineIntegral:
             alphas = [evolve_first_variation(model, traj, noise, v) for v in vs]
             got = q_form_line_integral(model, traj, noise, form, alphas)
             _, _, _, (total,) = simulate(
-                model, grid, sc.x0, noise.increments[None], vs=vs,
+                model, grid, sc.x0, noise[None], vs=vs,
                 sums=[line_integral_step(form, grid, range(form.degree - 1))])
             assert got == total[0]
 

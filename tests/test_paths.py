@@ -1,9 +1,14 @@
+import ast
+import glob
+import os
+
 import numpy as np
 import pytest
 
 import semigrad as sg
-from semigrad import TimeGrid, generate_noise, integrate_ito, integrate_stratonovich
-from semigrad.errors import DimensionMismatch
+from semigrad import TimeGrid, generate_noise, integrate_ito
+from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative
+from semigrad.models import make_flat_model
 from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
 
 from conftest import make_cubic_blowup_model
@@ -32,20 +37,20 @@ class TestNoise:
         grid = TimeGrid(1.0, 1000)
         a = generate_noise(grid, 7, 0, 1)
         b = generate_noise(grid, 7, 0, 1)
-        assert np.array_equal(a.increments, b.increments)
+        assert np.array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         grid = TimeGrid(1.0, 100)
         a = generate_noise(grid, 7, 0, 2)
         b = generate_noise(grid, 7, 1, 2)
-        assert not np.allclose(a.increments, b.increments)
+        assert not np.allclose(a, b)
 
     def test_block_matches_single(self):
         grid = TimeGrid(1.0, 50)
         block = noise_block(grid, 13, 5, 9, 3)
         for i, p in enumerate(range(5, 9)):
             single = generate_noise(grid, 13, p, 3)
-            assert np.array_equal(block[i], single.increments)
+            assert np.array_equal(block[i], single)
 
     def test_clt_moments(self):
         # 10^6 increments: mean within 4 sqrt(dt / 10^6), variance within 1%
@@ -59,13 +64,18 @@ class TestNoise:
         with pytest.raises(DimensionMismatch):
             generate_noise(TimeGrid(1.0, 10), 0, 0, 0)
 
+    @pytest.mark.parametrize("path_index", [-1, 2 ** 64])
+    def test_invalid_path_index(self, path_index):
+        with pytest.raises(InvalidConfig, match="path_index"):
+            generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
+
 
 class TestIntegration:
     def test_bm_states_are_partial_sums(self, bm1):
         grid = TimeGrid(1.0, 200)
         noise = generate_noise(grid, 3, 0, 1)
         traj = integrate_ito(bm1, [0.0], grid, noise)
-        expected = np.concatenate([[0.0], np.cumsum(noise.increments[:, 0])])
+        expected = np.concatenate([[0.0], np.cumsum(noise[:, 0])])
         assert np.array_equal(traj.states[:, 0], expected)
         assert not traj.blew_up
 
@@ -76,7 +86,7 @@ class TestIntegration:
 
     def test_ou_zero_noise_matches_ode(self, ou):
         grid = TimeGrid(1.0, 1000)
-        zero = sg.NoisePath(np.zeros((1000, 1)), seed=0, path_index=0)
+        zero = np.zeros((1000, 1))
         traj = integrate_ito(ou, [1.0], grid, zero)
         times = grid.times()
         assert np.max(np.abs(traj.states[:, 0] - np.exp(-times))) < grid.dt
@@ -87,24 +97,17 @@ class TestIntegration:
         radii = np.linalg.norm(traj.states, axis=-1)
         assert np.max(np.abs(radii - 1.0)) < 1e-9
 
-    def test_strat_equals_ito_for_constant_coefficients(self, bm1):
-        grid = TimeGrid(1.0, 100)
-        noise = generate_noise(grid, 9, 0, 1)
-        a = integrate_ito(bm1, [0.5], grid, noise)
-        b = integrate_stratonovich(bm1, [0.5], grid, noise)
-        assert np.array_equal(a.states, b.states)
-
     def test_so3_zero_noise_constant_identity(self, so3):
         grid = TimeGrid(1.0, 50)
-        zero = sg.NoisePath(np.zeros((50, 3)), seed=0, path_index=0)
+        zero = np.zeros((50, 3))
         eye = np.eye(3).reshape(-1)
-        traj = integrate_stratonovich(so3, eye, grid, zero)
+        traj = integrate_ito(so3, eye, grid, zero)
         assert np.allclose(traj.states, eye, atol=1e-15)
 
     def test_so3_stays_orthogonal(self, so3):
         grid = TimeGrid(1.0, 400)
-        traj = integrate_stratonovich(so3, np.eye(3).reshape(-1), grid,
-                                      generate_noise(grid, 17, 0, 3))
+        traj = integrate_ito(so3, np.eye(3).reshape(-1), grid,
+                             generate_noise(grid, 17, 0, 3))
         mats = traj.states.reshape(-1, 3, 3)
         errs = np.linalg.norm(np.swapaxes(mats, -1, -2) @ mats - np.eye(3),
                               axis=(-2, -1))
@@ -135,7 +138,7 @@ class TestIntegration:
         model.blow_up_radius = 3.0
         grid = TimeGrid(1.0, 100)
         dWs = noise_block(grid, 4, 0, 64, 1)
-        _, _, blow_step = integrate_block(model, np.full((64, 1), 1.0), grid, dWs)
+        _, _, blow_step, _, _ = integrate_block(model, np.full((64, 1), 1.0), grid, dWs)
         _, alive, _, (total,) = simulate(model, grid, [1.0], dWs,
                                          sums=[lambda k, x, x_dB, dW, vs: dW[:, 0]])
         assert 0 < np.sum(~alive) < 64
@@ -157,6 +160,17 @@ class TestIntegration:
 
 
 class TestDriftConversion:
+    def test_no_drift_rejected_everywhere(self):
+        # DX alone does not declare a drift: per-path and estimator calls agree
+        model = make_flat_model(1, 1, X=lambda x: np.ones(x.shape + (1,)),
+                                DX=lambda x, v: np.zeros(x.shape + (1,)))
+        grid = TimeGrid(1.0, 10)
+        with pytest.raises(MissingDerivative):
+            integrate_ito(model, [0.0], grid, generate_noise(grid, 0, 0, 1))
+        with pytest.raises(MissingDerivative):
+            sg.semigroup_value(model, lambda x: x[..., 0], grid, [0.0],
+                               n_paths=4, seed=0, threads=1)
+
     def test_constant_X_returns_A(self, bm1):
         # no A declared: correction of constant X vanishes
         grid = TimeGrid(1.0, 10)
@@ -195,13 +209,13 @@ class TestStatisticalSanity:
         n = 2000
         w = noise_block(fine, 33, 0, n, 1)
         x0s = np.ones((n, 1))
-        ref, _, _ = integrate_block(ou, x0s, fine, w)
+        ref, *_ = integrate_block(ou, x0s, fine, w)
         errs = {}
         for level, group in ((0, 8), (1, 4)):
             steps = 800 // group
             grid = TimeGrid(1.0, steps)
             coarse = w.reshape(n, steps, group, 1).sum(axis=2)
-            states, _, _ = integrate_block(ou, x0s, grid, coarse)
+            states, *_ = integrate_block(ou, x0s, grid, coarse)
             errs[level] = np.sqrt(np.mean((states[:, -1, 0] - ref[:, -1, 0]) ** 2))
         ratio = errs[0] / errs[1]
         assert 1.5 < ratio < 2.8
@@ -212,3 +226,17 @@ class TestStatisticalSanity:
         a = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
         b = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
         assert np.array_equal(a.states, b.states)
+
+
+def test_simulate_is_the_only_time_loop():
+    # every estimator, flow, form and per-path call steps through paths.simulate
+    src = os.path.dirname(sg.__file__)
+    loops = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        text = open(path).read()
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef) and f.name == "simulate"
+                 and os.path.basename(path) == "paths.py"]
+        loops += [(os.path.basename(path), n, any(a <= n <= b for a, b in spans))
+                  for n, line in enumerate(text.splitlines(), 1) if "for k in range(" in line]
+    assert [inside for _, _, inside in loops] == [True], loops

@@ -146,8 +146,8 @@ class TestHessianFlow:
         grid = TimeGrid(0.5, 200)
         n = 8000
         dWs = noise_block(grid, 91, 0, n, 3)
-        states, _, _ = integrate_block(sphere, np.tile([1.0, 0.0, 0.0], (n, 1)),
-                                       grid, dWs)
+        states, *_ = integrate_block(sphere, np.tile([1.0, 0.0, 0.0], (n, 1)),
+                                     grid, dWs)
         v = np.tile([0.0, 0.0, 1.0], (n, 1))
         W = v.copy()
         dd = covariant_drift_deriv(sphere)
