@@ -15,16 +15,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
-from .errors import InvalidConfig, MissingDerivative, UnsupportedModel, ZeroDirection
+from .errors import (InvalidConfig, MissingDerivative, MissingGeometry, UnsupportedModel,
+                     ZeroDirection)
 from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
                          _result_from_sums, bel_gradient, semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
-from .models import (apply_right_inverse, as_observable,
+from .models import (apply_right_inverse, as_observable, make_dot,
                      sample_directions, sample_points)
 from .paths import TimeGrid, noise_block, simulate, weight
-from .variation import _as_vector
+from .variation import _as_vector, covariant_drift_deriv
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
+_N_HP_SAMPLES = 128     # sampled points behind a supremum of H_p or |Y|
+_MOMENT_SLACK = 0.02    # relative Euler slack of the moment bound
+_SOBOLEV_SLACK = 0.05   # relative slack of the Sobolev inequality
 
 
 @dataclass
@@ -49,63 +53,63 @@ class BoundCheckReport:
     details: dict = field(default_factory=dict)
 
 
+def _hp_terms(model, covariant):
+    """The inner product, tangent projection and Ricci-minus-drift term of H_p.
+
+    The flat forms take the ambient dot, no projection, no Ricci term and
+    DZ; the covariant forms take the model metric, ``project_tangent``,
+    ``ricci_op`` and ``covariant_drift_deriv``.  The third entry maps
+    batched (x, v) to Ric(v, v) - 2 <D_v Z, v>.
+    """
+    geom = model.geometry if covariant else None
+    if covariant:
+        dot, drift_deriv = model.metric_dot, covariant_drift_deriv(model)
+    else:
+        model.require("DZ")
+        ambient = make_dot(model.n)
+        dot, drift_deriv = (lambda x, u, v: ambient(u, v)), model.DZ
+    if geom is not None and geom.ricci_op is None:
+        raise MissingGeometry("covariant H_p needs geometry.ricci_op")
+
+    def ricci_minus_drift(x, v):
+        out = -2.0 * dot(x, drift_deriv(x, v), v)
+        if geom is not None:
+            out = out + dot(x, geom.ricci_op(x, v), v)
+        return out
+
+    return dot, None if geom is None else geom.project_tangent, ricci_minus_drift
+
+
+def _unit(dot, x, v):
+    """Each row of v scaled to unit length in ``dot``."""
+    norm_sq = dot(x, v, v)
+    if np.any(norm_sq == 0):
+        raise ZeroDirection("H_p needs a nonzero direction")
+    return v / np.sqrt(norm_sq)[..., None]
+
+
 def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
     """Pointwise H_p(x)(v, v) / |v|^2 in the requested printed form.
 
     "rn_ito" uses ambient DX / DZ; "manifold" uses the covariant versions
-    (tangent-projected DX, Hess h drift derivative, Ricci term).  The
-    section-specific H_2 variants coincide with the generic forms at the
-    coefficient value p = 3.
+    (tangent-projected DX, covariant drift derivative, Ricci term) in the
+    model metric.  The section-specific H_2 variants coincide with the
+    generic forms at the coefficient value p = 3.
     """
     if form not in HP_FORMS:
         raise ValueError(f"unknown H_p form {form!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    v = np.atleast_1d(np.asarray(v, dtype=float))[None, :]
-    coeff = 1.0 if form in ("section2_H2", "section3_H2") else p - 2.0
-    covariant = form in ("manifold", "section3_H2")
-    geom = model.geometry
     model.require("DX")
-
-    if covariant:
-        # all inner products in the model metric, directions metric-normalized
-        norm_sq = float(model.metric_dot(x, v, v)[0])
-        if norm_sq == 0:
-            raise ZeroDirection("H_p needs a nonzero direction")
-        v = v / np.sqrt(norm_sq)
-        dx = model.DX(x, v)
-        sq = 0.0
-        quart = 0.0
-        for i in range(model.m):
-            col = dx[..., i]
-            if geom is not None:
-                col = geom.project_tangent(x, col)
-            sq += float(model.metric_dot(x, col, col)[0])
-            quart += float(model.metric_dot(x, col, v)[0]) ** 2
-        if geom is not None:
-            if geom.ricci is None:
-                raise MissingDerivative("manifold H_p needs geometry.ricci")
-            ric = float(geom.ricci(x, v, v)[0])
-            if model.hess_h is None:
-                raise MissingDerivative("manifold H_p needs hess_h (covariant drift derivative)")
-            dz = model.hess_h(x, v)
-        else:
-            ric = 0.0
-            model.require("DZ")
-            dz = model.DZ(x, v)
-        drift_term = 2.0 * float(model.metric_dot(x, dz, v)[0])
-        return -ric + drift_term + sq + coeff * quart
-
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ZeroDirection("H_p needs a nonzero direction")
-    v = v / norm
-    model.require("DZ")
+    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    dot, project, ricci_minus_drift = _hp_terms(model, form in ("manifold", "section3_H2"))
+    v = _unit(dot, x, np.atleast_1d(np.asarray(v, dtype=float))[None, :])
+    coeff = 1.0 if form in ("section2_H2", "section3_H2") else p - 2.0
     dx = model.DX(x, v)
-    sq = float(np.sum(dx * dx))
-    pair = np.einsum("bnm,bn->m", dx, v)
-    quart = float(np.sum(pair * pair))
-    drift_term = 2.0 * float(np.einsum("bn,bn->", model.DZ(x, v), v))
-    return drift_term + sq + coeff * quart
+    sq = quart = 0.0
+    for i in range(model.m):
+        col = dx[..., i] if project is None else project(x, dx[..., i])
+        sq += float(dot(x, col, col)[0])
+        quart += float(dot(x, col, v)[0]) ** 2
+    return -float(ricci_minus_drift(x, v)[0]) + sq + coeff * quart
 
 
 def hp_report(model, p, form="rn_ito", *, n_samples=256, seed=0) -> HpReport:
@@ -130,7 +134,7 @@ def variation_moment(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
 
 
 def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
-                       threads=None, n_hp_samples=128, slack=0.02) -> BoundCheckReport:
+                       threads=None) -> BoundCheckReport:
     """Compare E |v_t|^p against exp(c p t / 2) with c sampled from H_p.
 
     The constant k of the bound is taken as 1 (the flat-space value); the
@@ -138,17 +142,17 @@ def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
     plus three standard errors.
     """
     form = "rn_ito" if model.geometry is None else "manifold"
-    c = hp_report(model, p, form=form, n_samples=n_hp_samples, seed=seed).sup_estimate
+    c = hp_report(model, p, form=form, n_samples=_N_HP_SAMPLES, seed=seed).sup_estimate
     res = variation_moment(model, grid, x0, v0, p, n_paths=n_paths, seed=seed,
                            threads=threads)
     bound = float(np.exp(0.5 * c * p * grid.t_end))
-    tol = bound * slack + 3.0 * res.std_error
+    tol = bound * _MOMENT_SLACK + 3.0 * res.std_error
     passed = res.mean <= bound + tol
     return BoundCheckReport(
         name=f"moment_bound_p{p}", claimed_bound=bound, empirical=res.mean,
         margin=bound - res.mean, passed=bool(passed),
         details={"c": c, "std_error": res.std_error, "form": form,
-                 "n_hp_samples": n_hp_samples})
+                 "n_hp_samples": _N_HP_SAMPLES})
 
 
 def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
@@ -236,8 +240,7 @@ def _exp_integral(alpha, t):
 
 
 def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
-                            seed=0, threads=None, n_hp_samples=128,
-                            sup_f=None) -> BoundCheckReport:
+                            seed=0, threads=None) -> BoundCheckReport:
     """Check |gradient estimate| <= y_sup sqrt((e^(alpha t)-1)/alpha) / t * sup|f|.
 
     alpha is the sampled supremum of the p = 2 quadratic form (the Gronwall
@@ -246,15 +249,14 @@ def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
     """
     f = as_observable(f)
     alpha = hp_report(model, 2.0, form="rn_ito" if model.geometry is None else "manifold",
-                      n_samples=n_hp_samples, seed=seed).sup_estimate
-    points = sample_points(model, n_hp_samples, seed + 7)
+                      n_samples=_N_HP_SAMPLES, seed=seed).sup_estimate
+    points = sample_points(model, _N_HP_SAMPLES, seed + 7)
     if model.geometry is None:
         y_ops = [float(np.linalg.norm(model.Y(p[None])[0], 2)) for p in points]
         y_sup = max(y_ops)
     else:
         y_sup = 1.0  # Y = X* is a partial isometry for the induced metric
-    if sup_f is None:
-        sup_f = f.bound if f.bound is not None else float(np.max(np.abs(f(points))))
+    sup_f = f.bound if f.bound is not None else float(np.max(np.abs(f(points))))
     t = grid.t_end
     bound = y_sup * np.sqrt(_exp_integral(alpha, t)) / t * sup_f
     est = bel_gradient(model, f, grid, x0, v0, n_paths=n_paths, seed=seed,
@@ -269,7 +271,7 @@ def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
 
 
 def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
-                       seed=0, threads=None, slack=0.05) -> BoundCheckReport:
+                       seed=0, threads=None) -> BoundCheckReport:
     """Check |P_t f|_(L^p) + |grad P_t f|_(L^p) <= (1 + k/t) |f|_(L^p).
 
     Compact built-ins only: the circle uses uniform-angle quadrature, the
@@ -315,7 +317,7 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
                     + np.mean(grads ** p) ** (1 / p))
         fnorm = float(np.mean(fvals ** p) ** (1 / p))
     bound = (1.0 + k / grid.t_end) * fnorm
-    passed = lhs <= bound * (1 + slack)
+    passed = lhs <= bound * (1 + _SOBOLEV_SLACK)
     return BoundCheckReport(name=f"sobolev_p{p}", claimed_bound=float(bound),
                             empirical=lhs, margin=float(bound - lhs),
                             passed=bool(passed),
@@ -396,27 +398,15 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
 
 
 def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:
-    """inf over unit tangent v of Ric(v, v) - 2 <covariant drift deriv v, v>."""
-    geom = model.geometry
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    vals = []
-    for _ in range(n_dirs):
-        v = rng.standard_normal(model.n)
-        if geom is not None:
-            v = geom.project_tangent(x[None], v[None])[0]
-        nv = np.linalg.norm(v)
-        if nv < 1e-9:
-            continue
-        v = v / nv
-        ric = float(geom.ricci(x[None], v[None], v[None])[0]) if geom is not None else 0.0
-        if geom is not None and model.hess_h is not None:
-            dz = model.hess_h(x[None], v[None])
-        else:
-            model.require("DZ")
-            dz = model.DZ(x[None], v[None])
-        vals.append(ric - 2.0 * float(np.einsum("bn,bn->", dz, v[None])))
-    return min(vals)
+    """inf over unit tangent v of Ric(v, v) - 2 <covariant drift deriv v, v>.
+
+    The terms and the unit length are those of the covariant H_p, in the
+    model metric; the n_dirs directions are ``sample_directions`` at x.
+    """
+    dot, _, ricci_minus_drift = _hp_terms(model, covariant=True)
+    points = np.broadcast_to(_as_vector(model, x), (n_dirs, model.n))
+    v = _unit(dot, points, sample_directions(model, points, seed))
+    return float(np.min(ricci_minus_drift(points, v)))
 
 
 def dist_rho(model, x, base) -> float:

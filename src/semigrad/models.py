@@ -37,16 +37,16 @@ class ManifoldGeometry:
     ``constraint`` returns residuals that vanish on the manifold;
     ``project_tangent`` is the orthogonal projection onto the tangent space;
     ``retract`` maps nearby ambient points back onto the manifold.  The
-    optional callbacks extend the interface for curvature (``ricci``,
-    ``ricci_op``), non-Euclidean metrics (``metric_dot``), group-specific
-    integration steps (``step``), second-variation bookkeeping
-    (``dproject``, ``transport_init``), geodesics, and quasi-random sampling.
+    optional callbacks extend the interface for curvature (``ricci_op``, the
+    Ricci operator, so Ric(u, v) = metric_dot(x, ricci_op(x, u), v)),
+    non-Euclidean metrics (``metric_dot``), group-specific integration steps
+    (``step``), second-variation bookkeeping (``dproject``,
+    ``transport_init``), geodesics, and quasi-random sampling.
     """
 
     constraint: Callable
     project_tangent: Callable
     retract: Callable
-    ricci: Optional[Callable] = None          # (x, u, v) -> (B,)
     ricci_op: Optional[Callable] = None       # (x, w) -> (B, n)
     metric_dot: Optional[Callable] = None     # (x, u, v) -> (B,); None = ambient dot
     step: Optional[Callable] = None           # (x, dW, dt) -> (B, n)
@@ -306,9 +306,6 @@ def _sphere_geometry(n) -> ManifoldGeometry:
     def retract(x):
         return x / np.sqrt(dot(x, x))[..., None]
 
-    def ricci(x, u, v):
-        return (n - 2) * dot(u, v)
-
     def ricci_op(x, w):
         return (n - 2) * w
 
@@ -334,7 +331,7 @@ def _sphere_geometry(n) -> ManifoldGeometry:
         return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
     return ManifoldGeometry(constraint=constraint, project_tangent=project,
-                            retract=retract, ricci=ricci, ricci_op=ricci_op,
+                            retract=retract, ricci_op=ricci_op,
                             dproject=dproject, transport_init=transport_init,
                             geodesic=geodesic, sample=sample)
 
@@ -449,9 +446,6 @@ def _so3_geometry(scale) -> ManifoldGeometry:
     def metric_dot(g, u, v):
         return np.einsum("...k,...k->...", u, v) / s2
 
-    def ricci(g, u, v):
-        return 0.5 * scale * scale * metric_dot(g, u, v)
-
     def ricci_op(g, w):
         return 0.5 * scale * scale * w
 
@@ -467,7 +461,7 @@ def _so3_geometry(scale) -> ManifoldGeometry:
         return rotation_exp(w).reshape(count, 9)
 
     return ManifoldGeometry(constraint=constraint, project_tangent=project,
-                            retract=retract, ricci=ricci, ricci_op=ricci_op,
+                            retract=retract, ricci_op=ricci_op,
                             metric_dot=metric_dot, geodesic=geodesic,
                             sample=sample)
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import variation
-from .errors import DimensionMismatch, InvalidConfig, MissingDerivative
+from .errors import BlownUpPath, DimensionMismatch, InvalidConfig, MissingDerivative
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
@@ -257,8 +257,11 @@ def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
     """Carry the fields vs and running sums along the stored states of ``traj``.
 
     ``simulate``'s step k moves to stored state k+1 and hands the sums X(x_k) dW_k
-    for the path's increments ``noise`` (zeros when None).  Returns (fields, totals).
+    for the path's increments ``noise`` (zeros when None).  Returns (fields, totals);
+    raises ``BlownUpPath`` when ``traj`` is flagged as blown up.
     """
+    if traj.blew_up:
+        raise BlownUpPath("trajectory was flagged as blown up")
     if noise is None:
         noise = np.zeros((traj.grid.n_steps, model.m))
 

@@ -11,6 +11,7 @@ reproducible from flat configs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -51,11 +52,18 @@ class Scenario:
         return self.forms[name]
 
 
-def _obs_identity_1d():
-    return ScalarObservable(
-        f=lambda x: x[..., 0],
-        df=lambda x: np.ones_like(x),
-        name="x")
+def _linear(name, coeffs, bound=None):
+    """The observable sum of c * x[..., i] over ``coeffs`` = {i: c}, in index order."""
+    terms = sorted(coeffs.items())
+
+    def df(x):
+        out = np.zeros_like(x)
+        for i, c in terms:
+            out[..., i] = c
+        return out
+
+    return ScalarObservable(f=lambda x: reduce(np.add, (c * x[..., i] for i, c in terms)),
+                            df=df, bound=bound, name=name)
 
 
 def _obs_square_1d():
@@ -72,15 +80,6 @@ def _obs_one():
         bound=1.0, name="one")
 
 
-def _obs_coord(i, name):
-    def df(x):
-        out = np.zeros_like(x)
-        out[..., i] = 1.0
-        return out
-
-    return ScalarObservable(f=lambda x: x[..., i], df=df, bound=1.0, name=name)
-
-
 def _obs_sin():
     """sin of the first ambient coordinate (smooth bounded, no special symmetry)."""
 
@@ -91,34 +90,6 @@ def _obs_sin():
 
     return ScalarObservable(f=lambda x: np.sin(x[..., 0]), df=df, bound=1.0,
                             name="sin")
-
-
-def _obs_trace():
-    def f(g):
-        return g[..., 0] + g[..., 4] + g[..., 8]
-
-    def df(g):
-        out = np.zeros_like(g)
-        out[..., 0] = 1.0
-        out[..., 4] = 1.0
-        out[..., 8] = 1.0
-        return out
-
-    return ScalarObservable(f=f, df=df, bound=3.0, name="trace")
-
-
-def _obs_trace_e1():
-    # tr(E_1 g) = g[1,2] - g[2,1] in row-major flattening
-    def f(g):
-        return g[..., 5] - g[..., 7]
-
-    def df(g):
-        out = np.zeros_like(g)
-        out[..., 5] = 1.0
-        out[..., 7] = -1.0
-        return out
-
-    return ScalarObservable(f=f, df=df, bound=2.0, name="trace_e1")
 
 
 _GRADIENT_ESTIMATORS = ("bel_gradient", "pathwise_gradient", "finite_difference",
@@ -132,7 +103,7 @@ def _bm1d_scenario() -> Scenario:
         make=lambda: make_bm_model(1),
         x0=np.array([0.0]), v0=np.array([1.0]), u0=np.array([1.0]))
     sc.observables = {
-        "sin": _obs_sin(), "x": _obs_identity_1d(), "x_sq": _obs_square_1d(),
+        "sin": _obs_sin(), "x": _linear("x", {0: 1.0}), "x_sq": _obs_square_1d(),
         "one": _obs_one()}
 
     def grad_sin(cfg):
@@ -174,7 +145,7 @@ def _ou1d_scenario() -> Scenario:
         make=lambda: make_ou_model(1.0),
         x0=np.array([0.0]), v0=np.array([1.0]), u0=np.array([1.0]))
     sc.observables = {
-        "sin": _obs_sin(), "x": _obs_identity_1d(), "x_sq": _obs_square_1d(),
+        "sin": _obs_sin(), "x": _linear("x", {0: 1.0}), "x_sq": _obs_square_1d(),
         "one": _obs_one()}
 
     for est in _GRADIENT_ESTIMATORS:
@@ -203,7 +174,7 @@ def _circle_scenario() -> Scenario:
         x0=x0, v0=v0, u0=v0.copy())
     # sin(theta) = x_2 and cos(theta) = x_1 on the embedded circle
     sc.observables = {
-        "sin": _obs_coord(1, "sin"), "cos": _obs_coord(0, "cos"),
+        "sin": _linear("sin", {1: 1.0}, 1.0), "cos": _linear("cos", {0: 1.0}, 1.0),
         "one": _obs_one()}
     sc.forms = {
         "dtheta_s1": angle_form_s1(),
@@ -246,7 +217,7 @@ def _sphere3_scenario() -> Scenario:
         make=lambda: make_gradient_sphere_model(3),
         x0=x0, v0=v0, u0=u0)
     sc.observables = {
-        "height": _obs_coord(2, "height"),
+        "height": _linear("height", {2: 1.0}, 1.0),
         "sin": _obs_sin(),
         "one": _obs_one()}
     sc.forms = {"vol_s2": volume_form_s2()}
@@ -274,7 +245,9 @@ def _so3_scenario() -> Scenario:
         make=lambda: make_so3_model(1.0),
         x0=x0, v0=v0, u0=v0.copy())
     sc.observables = {
-        "trace": _obs_trace(), "trace_e1": _obs_trace_e1(), "one": _obs_one()}
+        "trace": _linear("trace", {0: 1.0, 4: 1.0, 8: 1.0}, 3.0),
+        # tr(E_1 g) = g[1,2] - g[2,1] in row-major flattening
+        "trace_e1": _linear("trace_e1", {5: 1.0, 7: -1.0}, 2.0), "one": _obs_one()}
 
     def grad_trace(cfg):
         return 0.0  # d(trace) vanishes on skew directions at the identity

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paths  # a cycle: paths reads this module's flows at call time
-from .errors import BlownUpPath, DimensionMismatch, MissingDerivative, MissingGeometry
+from .errors import DimensionMismatch, MissingDerivative, MissingGeometry
 
 
 @dataclass(eq=False)
@@ -88,16 +88,16 @@ def covariant_drift_deriv(model):
     """Batched (x, w) -> derivative of the covariant drift vector field.
 
     Flat models use DZ directly; h-Brownian manifold models use Hess h
-    (zero for h = 0 gradient systems).
+    (zero for h = 0 gradient systems).  The Hessian flow, H_p and the
+    curvature bound all read the drift derivative through this function.
     """
     if model.geometry is None:
         if model.DZ is None:
-            raise MissingDerivative("Hessian flow needs DZ on flat models")
+            raise MissingDerivative("the covariant drift derivative needs DZ on flat models")
         return model.DZ
     if model.hess_h is not None:
         return model.hess_h
-    raise MissingDerivative(
-        "Hessian flow on a manifold needs hess_h (covariant drift derivative)")
+    raise MissingDerivative("the covariant drift derivative on a manifold needs hess_h")
 
 
 def hessian_flow_step(model, x, x1, W, dt, drift_deriv):
@@ -144,8 +144,6 @@ def evolve_first_variation(model, traj: paths.Trajectory, noise: np.ndarray,
                            v0) -> VariationPath:
     """Tangent flow v_k along the trajectory, driven by the same noise."""
     model.require("DX", "DZ")
-    if traj.blew_up:
-        raise BlownUpPath("trajectory was flagged as blown up")
     v0 = _as_vector(model, v0)
     (vectors,), _ = paths._carry(model, traj, noise, [v0])
     return VariationPath(vectors=vectors, v0=v0)
@@ -155,8 +153,6 @@ def evolve_second_variation(model, traj: paths.Trajectory, noise: np.ndarray,
                             u_path: VariationPath, v_path: VariationPath) -> VariationPath:
     """Second-variation flow for (u0, v0); u_path and v_path share the noise."""
     model.require("DX", "DZ", "D2X", "D2Z")
-    if traj.blew_up:
-        raise BlownUpPath("trajectory was flagged as blown up")
     dt = traj.grid.dt
     u, v = u_path.vectors, v_path.vectors
     w0 = initial_second_variation(model, traj.states[0][None],
@@ -172,8 +168,6 @@ def evolve_second_variation(model, traj: paths.Trajectory, noise: np.ndarray,
 
 def evolve_hessian_flow(model, traj: paths.Trajectory, v0) -> VariationPath:
     """Deterministic flow W_k = (-Ric/2 + covariant drift derivative) along the path."""
-    if traj.blew_up:
-        raise BlownUpPath("trajectory was flagged as blown up")
     v0 = _as_vector(model, v0)
     (vectors,), _ = paths._carry(model, traj, vs=[v0], flow="hessian")
     return VariationPath(vectors=vectors, v0=v0)
@@ -186,8 +180,6 @@ def parallel_transport(model, traj: paths.Trajectory, v0) -> VariationPath:
     each new tangent space and rescale to preserve the norm.
     """
     v0 = _as_vector(model, v0)
-    if model.geometry is not None and traj.blew_up:
-        raise BlownUpPath("trajectory was flagged as blown up")
     (vectors,), _ = paths._carry(model, traj, vs=[v0], flow=lambda k, x, x1, vs, dW: [
         transport_step(model, x, x1, v) for v in vs])
     return VariationPath(vectors=vectors, v0=v0)

@@ -273,6 +273,12 @@ class TestRhoHelpers:
         # Ric(v, v) = |v|^2 and the covariant drift derivative vanishes
         assert abs(curvature_rho(sphere, x) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    def test_curvature_rho_so3(self, s):
+        # Ric = s^2/2 in the model metric; an ambient unit vector read 0.25 at every s
+        rho = curvature_rho(sg.make_so3_model(s), np.eye(3).reshape(-1))
+        assert abs(rho - s * s / 2) < 1e-9
+
     def test_dist_rho(self, sphere, bm1):
         assert abs(dist_rho(sphere, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
                    - np.pi / 2) < 1e-12

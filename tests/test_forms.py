@@ -3,7 +3,7 @@ import pytest
 
 import semigrad as sg
 from semigrad import TimeGrid, generate_noise, integrate_ito
-from semigrad.errors import (DegreeMismatch, MissingCodifferential, NotClosed,
+from semigrad.errors import (BlownUpPath, DegreeMismatch, MissingCodifferential, NotClosed,
                              NotGradientSystem, UnsupportedDegree)
 from semigrad.forms import (AlternatingTensor, FormField, angle_form_s1,
                             as_alternating,
@@ -16,7 +16,7 @@ from semigrad.forms import (AlternatingTensor, FormField, angle_form_s1,
 from semigrad.paths import simulate
 from semigrad.variation import evolve_first_variation
 
-from conftest import joint_tol
+from conftest import joint_tol, make_cubic_blowup_model
 
 
 def circle_sin_form(circle_scenario):
@@ -71,6 +71,21 @@ class TestLineIntegral:
         traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
         with pytest.raises(MissingCodifferential):
             line_integral_one_form(circle, traj, noise, form)
+
+    def test_blown_up_rejected(self):
+        # the path leaves radius 100 at step 15; summing all 200 increments gave -1.8855
+        model = make_cubic_blowup_model()
+        model.blow_up_radius = 100.0
+        grid = TimeGrid(1.0, 200)
+        noise = generate_noise(grid, 0, 0, 1)
+        traj = integrate_ito(model, [3.0], grid, noise)
+        assert traj.blew_up and traj.blow_up_step == 15
+        form = FormField(degree=1, eval=lambda x, v: v[..., 0],
+                         codiff=lambda x: np.zeros(x.shape[:-1]))
+        with pytest.raises(BlownUpPath):
+            line_integral_one_form(model, traj, noise, form)
+        with pytest.raises(BlownUpPath):
+            q_form_line_integral(model, traj, noise, form, [])
 
 
 class TestQFormLineIntegral:

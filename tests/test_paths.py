@@ -240,3 +240,22 @@ def test_simulate_is_the_only_time_loop():
         loops += [(os.path.basename(path), n, any(a <= n <= b for a, b in spans))
                   for n, line in enumerate(text.splitlines(), 1) if "for k in range(" in line]
     assert [inside for _, _, inside in loops] == [True], loops
+
+
+def test_curvature_terms_have_one_home():
+    # outside models.py, hess_h is read only by variation.covariant_drift_deriv,
+    # and ricci_op is the only Ricci callback
+    src = os.path.dirname(sg.__file__)
+    readers = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        text = open(path).read()
+        assert ".ricci(" not in text, name
+        if name == "models.py":
+            continue
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef) and f.name == "covariant_drift_deriv"
+                 and name == "variation.py"]
+        readers += [(name, n, any(a <= n <= b for a, b in spans))
+                    for n, line in enumerate(text.splitlines(), 1) if "hess_h" in line]
+    assert readers and all(inside for _, _, inside in readers), readers

@@ -183,6 +183,17 @@ class TestParallelTransport:
             out = parallel_transport(sphere, traj, v0)
             assert np.linalg.norm(out.vectors[-1] - np.asarray(v0)) < 5 * 2 * np.pi / K
 
+    def test_blown_up_rejected_on_flat_models(self):
+        # every carrier, flat transport included, refuses a flagged trajectory
+        model = make_cubic_blowup_model()
+        model.blow_up_radius = 100.0
+        traj, noise = _path(model, [3.0], TimeGrid(1.0, 200))
+        assert traj.blew_up
+        with pytest.raises(BlownUpPath):
+            parallel_transport(model, traj, [1.0])
+        with pytest.raises(BlownUpPath):
+            evolve_hessian_flow(model, traj, [1.0])
+
 
 class TestMomentIdentities:
     @pytest.mark.parametrize("p", [1, 2, 4])
