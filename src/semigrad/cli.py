@@ -199,9 +199,7 @@ def _oracle_for(cfg: ExperimentConfig) -> Optional[float]:
     sc = get_scenario(cfg.scenario)
     key = (cfg.estimator, cfg.form or cfg.observable)
     fn = sc.oracles.get(key)
-    if fn is None:
-        return None
-    return float(fn(cfg))
+    return None if fn is None else float(fn(cfg))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
@@ -251,10 +249,7 @@ def run_suite(manifest_path: str):
 
 def records_to_csv(records) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
+    csv.writer(buf).writerows([CSV_COLUMNS] + [rec.csv_row() for rec in records])
     return buf.getvalue()
 
 
@@ -284,11 +279,10 @@ def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)
     v0 = ambient_direction(model, sc.v0)
-    checks = []
-    checks.append(diagnostics.martingale_mean_check(
-        model, grid, sc.x0, v0, n_paths=n_paths, seed=seed))
-    checks.append(diagnostics.moment_bound_check(
-        model, grid, sc.x0, v0, p=2, n_paths=n_paths, seed=seed))
+    checks = [diagnostics.martingale_mean_check(model, grid, sc.x0, v0,
+                                                n_paths=n_paths, seed=seed),
+              diagnostics.moment_bound_check(model, grid, sc.x0, v0, p=2,
+                                             n_paths=n_paths, seed=seed)]
     pts = sample_points(model, 64, seed)
     dirs = sample_directions(model, pts, seed + 1)
     resid = float(np.max(np.abs(
@@ -352,25 +346,19 @@ def main(argv=None) -> int:
             cfg.validate()
             record = run_experiment(cfg)
             _emit([record], cfg.out, cfg.format)
-            if record.passed is None:
-                return 0
-            return 0 if record.passed else 2
+            return 2 if record.passed is False else 0
         if args.command == "suite":
             records, had_error = run_suite(args.manifest)
-            stem = args.out
             csv_text = records_to_csv(records)
             json_text = json.dumps([r.to_json() for r in records], indent=2)
-            if stem:
-                with open(stem + ".csv", "w") as fh:
+            if args.out:
+                with open(args.out + ".csv", "w") as fh:
                     fh.write(csv_text)
-                with open(stem + ".json", "w") as fh:
+                with open(args.out + ".json", "w") as fh:
                     fh.write(json_text)
             else:
                 sys.stdout.write(csv_text)
-            if had_error:
-                return 1
-            failed = [r for r in records if r.passed is False]
-            return 2 if failed else 0
+            return 1 if had_error else 2 if any(r.passed is False for r in records) else 0
         if args.command == "check":
             checks = run_checks(args.scenario, n_paths=args.paths,
                                 n_steps=args.steps, seed=args.seed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,13 +78,39 @@ def map_blocks(n_paths: int, block_fn, *, threads=None,
             _FORK_FN = None
 
 
+class Moments(NamedTuple):
+    """Sum, squared deviations about the mean and count of a set of values.
+
+    ``a + b`` merges two sets by the Chan-Golub-LeVeque rule, so the spread
+    survives a large common offset; the sums add plainly, which keeps
+    ``total / n`` bitwise the mean of a running sum.
+    """
+
+    total: float
+    m2: float
+    n: int
+
+    def __add__(self, other):
+        n = self.n + other.n
+        delta = other.total / max(other.n, 1) - self.total / max(self.n, 1)
+        return Moments(self.total + other.total,
+                       self.m2 + other.m2 + delta * delta * (self.n * other.n / max(n, 1)), n)
+
+    def __radd__(self, zero):  # sum() starts from 0
+        return Moments(zero + self.total, self.m2, self.n)
+
+
 def scalar_stats(values: np.ndarray, ok: np.ndarray):
-    """Partial sums (sum, sum of squares, n_ok, n_rejected) for one block."""
+    """(Moments of the surviving values, n_rejected) for one block."""
     good = values[ok]
-    return (float(np.sum(good)), float(np.sum(good * good)),
-            int(good.size), int(ok.size - good.size))
+    total = float(np.sum(good))
+    n = max(good.size, 1)
+    dev = good - total / n
+    # corrected two-pass: the second term cancels the rounding of the block mean
+    m2 = max(0.0, float(np.sum(dev * dev)) - float(np.sum(dev)) ** 2 / n)
+    return Moments(total, m2, int(good.size)), int(ok.size - good.size)
 
 
 def combine_scalar(blocks):
-    """Add per-block partial-sum tuples position by position, in block order."""
+    """Add per-block tuples (plain sums or ``Moments``) position by position, in block order."""
     return tuple(sum(column) for column in zip(*blocks))

@@ -22,7 +22,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable)
-from .paths import TimeGrid, _NoiseSource, noise_block, simulate, weight
+from .paths import TimeGrid, _philox, noise_block, simulate, weight
 from .variation import (_as_vector, covariant_drift_deriv, first_variation_step,
                         initial_second_variation, second_variation_step)
 
@@ -78,11 +78,11 @@ def _annotate(model, metadata, n_rej, total) -> dict:
 
 def _result_from_sums(model, sums, seed, grid, metadata=None) -> EstimatorResult:
     """Mean and standard error from the merged ``scalar_stats`` sums."""
-    s1, s2, n_ok, n_rej = sums
+    (s1, m2, n_ok), n_rej = sums
     if n_ok == 0:
         raise AllPathsBlewUp("no surviving paths")
     mean = s1 / n_ok
-    var = max(0.0, (s2 - n_ok * mean * mean) / max(1, n_ok - 1))
+    var = m2 / max(1, n_ok - 1)
     se = float(np.sqrt(var / n_ok))
     total = n_ok + n_rej
     return EstimatorResult(mean=mean, std_error=se, n_paths=total,
@@ -100,11 +100,8 @@ def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
 
 def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
                metadata=None) -> EstimatorResult:
-    def wrapped(lo, hi):
-        values, ok = block_fn(lo, hi)
-        return engine.scalar_stats(values, ok)
-
-    blocks = _map_paths(model, grid, n_paths, wrapped, threads)
+    blocks = _map_paths(model, grid, n_paths,
+                        lambda lo, hi: engine.scalar_stats(*block_fn(lo, hi)), threads)
     return _result_from_sums(model, engine.combine_scalar(blocks), seed, grid, metadata)
 
 
@@ -211,7 +208,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         acc_corr = np.zeros(hi - lo)
         k_s = -1
         if variant == "nested":
-            k_s = int(_NoiseSource().at(seed, lo, _AUX_STREAM).integers(0, K2))
+            k_s = int(_philox(seed, _AUX_STREAM, lo).integers(0, K2))
         snap = {}
 
         def correction(k, x, x_dB, dW, vs, alive):

@@ -1,11 +1,12 @@
 """Driving noise and the path-stepping kernel on a fixed time grid.
 
-Noise is produced by a counter-based generator (Philox) keyed on
-``(seed, path_index)`` so that every path is reproducible in isolation and
-distinct paths use provably independent streams.  ``simulate`` is the one
-SDE time loop of the package: Euler-Maruyama in the ambient space, with a
-retraction or group step for manifold-constrained models, co-evolving the
-direction fields and gradient weights every estimator needs.
+Noise is counter-based: Philox keyed by ``(seed, stream, 256-path tile)``;
+the rows of a tile are consecutive draws from its stream, so every path is
+reproducible from its index alone and distinct tiles use independent streams.
+``simulate`` is the one SDE time loop of the package: Euler-Maruyama in the
+ambient space, with a retraction or group step for manifold-constrained
+models, co-evolving the direction fields and gradient weights every
+estimator needs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import BlownUpPath, DimensionMismatch, InvalidConfig, MissingDeriva
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
+_TILE = 256  # paths per Philox stream
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,9 @@ class Trajectory:
 def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.ndarray:
     """The (n_steps, m) Brownian increments of one path, each N(0, dt I).
 
-    Deterministic in (seed, path_index); distinct path indices give
-    independent streams.  The increments are row 0 of ``noise_block``.
+    Deterministic in (seed, path_index): a row of the path's 256-path tile,
+    so it draws the rows of its tile before it.  The increments are row 0 of
+    ``noise_block``.
     """
     if m < 1:
         raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
@@ -67,43 +70,28 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
     return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
-class _NoiseSource:
-    """One reusable Philox generator, counter-reset per (seed, path, stream).
-
-    Resetting the state dict produces draws bit-identical to constructing a
-    fresh Philox with the same key and counter, without the per-construction
-    entropy cost.
-    """
-
-    def __init__(self):
-        self._bg = np.random.Philox(key=np.uint64(0))
-        self._gen = np.random.Generator(self._bg)
-
-    def at(self, seed: int, path_index: int, stream: int = 0) -> np.random.Generator:
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([0, 0, stream, path_index], dtype=np.uint64),
-                "key": np.array([int(seed) & _UINT64_MASK, 0], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen
+def _philox(seed: int, stream: int, index: int) -> np.random.Generator:
+    """A fresh Philox stream keyed by seed, counting from (stream, index)."""
+    return np.random.Generator(np.random.Philox(
+        key=np.array([int(seed) & _UINT64_MASK, 0], dtype=np.uint64),
+        counter=np.array([0, 0, stream, index], dtype=np.uint64)))
 
 
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
     """Increments for paths lo..hi-1 stacked as (hi-lo, n_steps, m).
 
-    Row i depends only on (seed, lo + i, stream), never on the block bounds.
+    Philox keyed by (seed, stream, 256-path tile); the rows of a tile are
+    consecutive draws from its stream.  Row i depends only on
+    (seed, lo + i, stream), never on the block bounds: a block that starts
+    inside a tile draws the tile's earlier rows and discards them.
     """
     out = np.empty((hi - lo, grid.n_steps, m))
-    source = _NoiseSource()
-    for i, p in enumerate(range(lo, hi)):
-        source.at(seed, p, stream).standard_normal((grid.n_steps, m), out=out[i])
+    for tile in range(lo // _TILE, -(-hi // _TILE)):
+        first, stop = max(lo, tile * _TILE), min(hi, (tile + 1) * _TILE)
+        gen = _philox(seed, stream, tile)
+        gen.standard_normal((first - tile * _TILE, grid.n_steps, m))  # discard rows before lo
+        gen.standard_normal((stop - first, grid.n_steps, m), out=out[first - lo:stop - lo])
     out *= np.sqrt(grid.dt)
     return out
 

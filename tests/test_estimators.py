@@ -398,6 +398,14 @@ class TestResultContract:
         assert r.std_error > 0
         assert r.n_paths == 5000 and r.n_rejected == 0
 
+    def test_std_error_survives_offset(self, bm1):
+        # three blocks: the spread is merged across blocks, not recovered from s2 - n mean^2
+        grid = TimeGrid(1.0, 50)
+        plain, shifted = (sg.semigroup_value(bm1, lambda x, c=c: np.sin(x[..., 0]) + c,
+                                             grid, [0.0], n_paths=40_000, seed=3)
+                          for c in (0.0, 1e8))
+        assert shifted.std_error == pytest.approx(plain.std_error, rel=1e-6)
+
     def test_fd_coefficient_model_warns(self):
         from semigrad.models import make_flat_model, with_fd_derivatives
 

@@ -4,9 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semigrad as sg
 from semigrad import TimeGrid, generate_noise, integrate_ito
+from semigrad.engine import default_block_size
 from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative
 from semigrad.models import make_flat_model
 from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
@@ -68,6 +70,41 @@ class TestNoise:
     def test_invalid_path_index(self, path_index):
         with pytest.raises(InvalidConfig, match="path_index"):
             generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
+
+
+class TestNoiseContract:
+    """Philox keyed by (seed, stream, 256-path tile): rows never depend on the block bounds."""
+
+    GRID = TimeGrid(1.0, 3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 1000), m=st.integers(1, 3),
+           stream=st.one_of(st.just(0), st.integers(1, 2 ** 32)),
+           cuts=st.lists(st.one_of(st.integers(0, 999), st.sampled_from([256, 512, 768])),
+                         max_size=6),
+           data=st.data())
+    def test_any_partition_matches_one_block(self, n, m, stream, cuts, data):
+        bounds = sorted({0, n} | {c for c in cuts if c < n})
+        whole = noise_block(self.GRID, 5, 0, n, m, stream)
+        pieces = [noise_block(self.GRID, 5, lo, hi, m, stream)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
+        if stream == 0:
+            p = data.draw(st.integers(0, n - 1))
+            assert np.array_equal(generate_noise(self.GRID, 5, p, m), whole[p])
+
+    def test_tiles_and_streams_differ(self):
+        block = noise_block(self.GRID, 5, 0, 512, 2)
+        assert not np.array_equal(block[0], block[256])  # same row of two tiles
+        assert not np.array_equal(block[255], block[256])
+        other = noise_block(self.GRID, 5, 0, 512, 2, stream=1)
+        assert not np.any(np.all(other == block, axis=(1, 2)))
+
+    def test_default_blocks_hold_whole_tiles(self):
+        # estimator blocks start on a tile boundary, so they never draw rows they discard
+        for m in range(1, 10):
+            for n_steps in range(1, 10 ** 5 + 1):
+                assert default_block_size(n_steps, m) % 256 == 0
 
 
 class TestIntegration:
