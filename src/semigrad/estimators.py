@@ -21,7 +21,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      InvalidConfig, MissingDerivative, NotLieGroup,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
-                     apply_right_inverse, as_observable)
+                     apply_right_inverse, as_observable, make_dot)
 from .paths import TimeGrid, _philox, noise_block, simulate, weight
 from .variation import (_as_vector, covariant_drift_deriv, first_variation_step,
                         initial_second_variation, second_variation_step)
@@ -437,10 +437,14 @@ def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0,
             f"algebra direction has shape {v0_alg.shape}, expected ({model.group_dim},)")
     t = grid.t_end
     s = model.noise_scale
+    dot = make_dot(model.group_dim)
 
     def adjoint_weight(k, x, x_dB, dW, vs):
-        return np.einsum("bm,bm->b", model.ad_inverse(x, v0_alg), dW) / s
+        return dot(model.ad_inverse(x, v0_alg), dW) / s
+
+    def group_step(k, x, dW):  # the weight never reads X(x) dW, so none is made
+        return model.geometry.step(x, dW, grid.dt), None
 
     return _estimate(model, grid, np.eye(model.mat_dim).reshape(-1),
                      lambda x, vs, sums: f(x) * sums[0] / t, sums=[adjoint_weight],
-                     n_paths=n_paths, seed=seed, threads=threads)
+                     step=group_step, n_paths=n_paths, seed=seed, threads=threads)

@@ -119,8 +119,12 @@ class LieGroupModel(DiffusionModel):
 
     def ad_inverse(self, g_flat, v_alg):
         """Ad(g^-1) applied to algebra coordinates; for SO(3) this is g^T v."""
-        g = g_flat.reshape(g_flat.shape[:-1] + (self.mat_dim, self.mat_dim))
-        return np.einsum("...ji,j->...i", g, np.asarray(v_alg, dtype=float))
+        d = self.mat_dim
+        v = np.asarray(v_alg, dtype=float)
+        out = g_flat[..., 0:d] * v[0]
+        for j in range(1, d):  # row j of g, scaled by v_j
+            out = out + g_flat[..., j * d:(j + 1) * d] * v[j]
+        return out
 
 
 @dataclass(frozen=True)
@@ -396,8 +400,9 @@ SO3_BASIS = np.array([
 
 def skew_from_axis(w):
     """Axis coordinates (..., 3) -> skew matrices (..., 3, 3)."""
-    w = np.asarray(w, dtype=float)
-    return np.einsum("...a,aij->...ij", w, SO3_BASIS)
+    x, y, z = np.moveaxis(np.asarray(w, dtype=float), -1, 0)
+    zero = np.zeros_like(x)
+    return np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1).reshape(x.shape + (3, 3))
 
 
 def axis_from_skew(S):
@@ -406,17 +411,25 @@ def axis_from_skew(S):
 
 
 def rotation_exp(w):
-    """Rodrigues formula: axis coordinates (..., 3) -> rotation matrices."""
-    w = np.asarray(w, dtype=float)
-    theta = np.linalg.norm(w, axis=-1)
-    S = skew_from_axis(w)
-    S2 = S @ S
-    eye = np.broadcast_to(np.eye(3), S.shape)
+    """Rodrigues formula: axis coordinates (..., 3) -> rotation matrices.
+
+    exp(S) = I + a S + b S^2 with S^2 = w w^T - theta^2 I, written out per
+    entry; a = sin(theta)/theta and b = (1 - cos(theta))/theta^2 switch to
+    their Taylor polynomials below theta = 1e-8.
+    """
+    x, y, z = np.moveaxis(np.asarray(w, dtype=float), -1, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    theta = np.sqrt(xx + yy + zz)
     small = theta < 1e-8
     th = np.where(small, 1.0, theta)
     a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(th) / th)
     b = np.where(small, 0.5 - theta ** 2 / 24.0, (1.0 - np.cos(th)) / th ** 2)
-    return eye + a[..., None, None] * S + b[..., None, None] * S2
+    bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
+    ax, ay, az = a * x, a * y, a * z
+    R = np.stack([1.0 - b * (yy + zz), bxy - az, bxz + ay,
+                  bxy + az, 1.0 - b * (xx + zz), byz - ax,
+                  bxz - ay, byz + ax, 1.0 - b * (xx + yy)], axis=-1)
+    return R.reshape(theta.shape + (3, 3))
 
 
 def _so3_geometry(scale) -> ManifoldGeometry:

@@ -148,7 +148,8 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
     Each step k, at the left endpoint x_k:
     - ``step(k, x, dW)`` -> (x1, X(x) dW), by default the Euler, retraction
-      or group step;
+      or group step; the group step passes None for X(x) dW when there is
+      no hook and no sum to read it;
     - running total i adds ``sums[i](k, x, X(x) dW, dW, vs)`` on live paths
       (see ``weight``), in list order;
     - ``hook(k, x, X(x) dW, dW, vs, alive)`` sees the same values;
@@ -168,11 +169,14 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     if step is None:
         geom = model.geometry
         drift = resolve_ito_drift(model)
+        group_step = geom.step if geom is not None else None
+        reads_x_dB = hook is not None or bool(sums)
 
         def step(k, x, dW):
+            if group_step is not None:
+                # the group step moves x itself; X(x) dW only feeds its readers
+                return group_step(x, dW, dt), apply_coeff(model, x, dW) if reads_x_dB else None
             x_dB = apply_coeff(model, x, dW)
-            if geom is not None and geom.step is not None:
-                return geom.step(x, dW, dt), x_dB
             x1 = x + x_dB + drift(x) * dt
             if geom is not None:
                 x1 = geom.retract(x1)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import paths  # a cycle: paths reads this module's flows at call time
 from .errors import DimensionMismatch, MissingDerivative, MissingGeometry
+from .models import make_dot
 
 
 @dataclass(eq=False)
@@ -78,8 +79,8 @@ def transport_step(model, x, x1, v):
     if geom is None:
         return v
     vp = geom.project_tangent(x1, v)
-    norm_old = np.linalg.norm(v, axis=-1)
-    norm_new = np.linalg.norm(vp, axis=-1)
+    dot = make_dot(model.n)
+    norm_old, norm_new = np.sqrt(dot(v, v)), np.sqrt(dot(vp, vp))
     scale = np.where(norm_new > 0, norm_old / np.where(norm_new > 0, norm_new, 1.0), 0.0)
     return vp * scale[..., None]
 

@@ -157,6 +157,43 @@ class TestSO3Model:
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-14)
         assert abs(np.linalg.det(R) - 1) < 1e-12
 
+    @staticmethod
+    def _exp_grid():
+        # theta from 1e-12 to 10 on random axes, with 0 and both sides of the 1e-8 switch
+        rng = np.random.default_rng(11)
+        thetas = np.concatenate([[0.0, np.nextafter(1e-8, 0.0), 1e-8, np.nextafter(1e-8, 1.0),
+                                  0.999e-8, 1.001e-8], np.geomspace(1e-12, 10.0, 400)])
+        axes = rng.standard_normal((thetas.size, 3))
+        return thetas[:, None] * axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+
+    def test_exp_matches_scipy(self):
+        from scipy.spatial.transform import Rotation
+        w = self._exp_grid()
+        assert np.max(np.abs(rotation_exp(w) - Rotation.from_rotvec(w).as_matrix())) <= 1e-14
+
+    def test_exp_orthogonal_unimodular(self):
+        R = rotation_exp(self._exp_grid())
+        assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-14
+        assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-14
+        assert np.array_equal(rotation_exp(np.zeros(3)), np.eye(3))
+        assert np.array_equal(rotation_exp(np.zeros((4, 3))), np.tile(np.eye(3), (4, 1, 1)))
+
+    def test_exp_matches_matrix_form(self):
+        # I + a S + b S @ S with a batched matmul; its diagonal may be fused-rounded,
+        # so the entries (all in [-1, 1]) agree to 2 ulp of 1, the off-diagonals exactly
+        w = self._exp_grid()
+        theta = np.linalg.norm(w, axis=-1)
+        small = theta < 1e-8
+        th = np.where(small, 1.0, theta)
+        a = np.where(small, 1.0 - theta ** 2 / 6.0, np.sin(th) / th)
+        b = np.where(small, 0.5 - theta ** 2 / 24.0, (1.0 - np.cos(th)) / th ** 2)
+        S = skew_from_axis(w)
+        ref = np.eye(3) + a[:, None, None] * S + b[:, None, None] * (S @ S)
+        R = rotation_exp(w)
+        assert np.max(np.abs(R - ref)) <= 2 * np.finfo(float).eps
+        off = ~np.eye(3, dtype=bool)
+        assert np.array_equal(R[:, off], ref[:, off])
+
     def test_skew_axis_round_trip(self):
         w = np.array([0.5, -0.2, 1.1])
         assert np.allclose(axis_from_skew(skew_from_axis(w)), w)

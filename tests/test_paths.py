@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semigrad as sg
-from semigrad import TimeGrid, generate_noise, integrate_ito
+from semigrad import TimeGrid, diagnostics, estimators, generate_noise, integrate_ito, paths
 from semigrad.engine import default_block_size
 from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative
-from semigrad.models import make_flat_model
+from semigrad.models import make_flat_model, skew_from_axis
 from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
 
 from conftest import make_cubic_blowup_model
@@ -263,6 +263,60 @@ class TestStatisticalSanity:
         a = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
         b = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
         assert np.array_equal(a.states, b.states)
+
+
+class TestGroupStep:
+    """A group-step model computes X(x) dW only for a hook or a sum that reads it."""
+
+    GRID = TimeGrid(0.5, 20)
+    RUN = {"n_paths": 512, "seed": 1, "threads": 1}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        original = paths.apply_coeff
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(paths, "apply_coeff", counted)
+        return count
+
+    @staticmethod
+    def _so3():
+        sc = sg.get_scenario("so3")
+        return sc.make(), sc.observables["trace_e1"], sc.x0, skew_from_axis(sc.v0).reshape(-1)
+
+    def test_no_discarded_x_dW(self, calls):
+        model, f, g0, v = self._so3()
+        estimators.lie_group_gradient(model, f, self.GRID, [1.0, 0.0, 0.0], **self.RUN)
+        estimators.semigroup_value(model, f, self.GRID, g0, **self.RUN)
+        diagnostics.finite_difference_oracle(model, f, self.GRID, g0, v, **self.RUN)
+        assert calls[0] == 0
+
+    def test_readers_get_x_dW_every_step(self, calls):
+        model, f, g0, v = self._so3()
+        estimators.bel_gradient(model, f, self.GRID, g0, v, **self.RUN)
+        assert calls[0] == self.GRID.n_steps
+        diagnostics.martingale_mean_check(model, self.GRID, g0, v, **self.RUN)
+        assert calls[0] == 2 * self.GRID.n_steps
+
+    def test_skipping_x_dW_changes_nothing(self):
+        # a step that makes no X(x) dW moves the paths and the weight bitwise as the default
+        model, _, g0, _ = self._so3()
+        dWs = noise_block(self.GRID, 3, 0, 300, model.m)
+
+        def inc(k, x, x_dB, dW, vs):
+            return model.ad_inverse(x, [0.3, -1.0, 0.5])[:, 0] * dW[:, 1]
+
+        def group_step(k, x, dW):
+            return model.geometry.step(x, dW, self.GRID.dt), None
+
+        x_read, _, _, (total_read,) = simulate(model, self.GRID, g0, dWs, sums=[inc])
+        x_skip, _, _, (total_skip,) = simulate(model, self.GRID, g0, dWs, sums=[inc],
+                                               step=group_step)
+        assert np.array_equal(x_read, x_skip) and np.array_equal(total_read, total_skip)
 
 
 def test_simulate_is_the_only_time_loop():

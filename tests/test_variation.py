@@ -4,8 +4,9 @@ import pytest
 import semigrad as sg
 from semigrad import TimeGrid, generate_noise, integrate_ito
 from semigrad.errors import BlownUpPath, MissingDerivative
+from semigrad.models import make_so3_model, rotation_exp
 from semigrad.variation import (evolve_first_variation, evolve_hessian_flow,
-                                evolve_second_variation, parallel_transport)
+                                evolve_second_variation, parallel_transport, transport_step)
 
 from conftest import make_cubic_blowup_model, make_quad_drift_model, make_sine_noise_model
 
@@ -182,6 +183,29 @@ class TestParallelTransport:
         for v0 in ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0]):
             out = parallel_transport(sphere, traj, v0)
             assert np.linalg.norm(out.vectors[-1] - np.asarray(v0)) < 5 * 2 * np.pi / K
+
+    @pytest.mark.parametrize("name", ["circle", "sphere", "so3"])
+    def test_transport_norm_is_linalg_norm(self, name, request):
+        # the step's sqrt(dot(v, v)) rescaling against np.linalg.norm: bitwise for
+        # n <= 3, where the written-out dot sums in the same order; to 4 ulp at n = 9
+        rng = np.random.default_rng(3)
+        B = 4096
+        if name == "so3":
+            model = make_so3_model()
+            x, x1 = (rotation_exp(rng.standard_normal((B, 3))).reshape(B, 9) for _ in range(2))
+        else:
+            model = request.getfixturevalue(name)
+            x, x1 = (p / np.linalg.norm(p, axis=-1, keepdims=True)
+                     for p in rng.standard_normal((2, B, model.n)))
+        v = rng.standard_normal((B, model.n)) * 10.0 ** rng.uniform(-150, 150, (B, 1))
+        vp = model.geometry.project_tangent(x1, v)
+        ref = vp * (np.linalg.norm(v, axis=-1) / np.linalg.norm(vp, axis=-1))[:, None]
+        out = transport_step(model, x, x1, v)
+        if model.n <= 3:
+            assert np.array_equal(out, ref)
+        else:
+            assert np.max(np.abs(out - ref) / np.abs(ref).max(axis=-1, keepdims=True)) \
+                <= 4 * np.finfo(float).eps
 
     def test_blown_up_rejected_on_flat_models(self):
         # every carrier, flat transport included, refuses a flagged trajectory
