@@ -350,19 +350,15 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
     line_integral = line_integral_step(exact_one_form(f, minus_laplacian=codiff), grid, ())
 
     def block(lo, hi):
-        x = np.broadcast_to(x0, (hi - lo, model.n))
-        f0 = f(x)
-        scale = np.linalg.norm(x, axis=-1)
+        f0 = f(np.broadcast_to(x0, (hi - lo, model.n)))
+        scale = np.zeros(hi - lo)
 
-        def track_scale(k, x, x_dB, dW, vs, alive):
-            # x_k for k >= 1 is the state after the advance of step k - 1
-            nonlocal scale
-            scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
+        def track_scale(k, x, vs, alive):
+            np.maximum(scale, np.linalg.norm(x, axis=-1), out=scale)
 
         x, alive, _, (line,) = simulate(model, grid, x0,
                                         noise_block(grid, seed, lo, hi, model.m),
                                         sums=[line_integral], hook=track_scale)
-        scale = np.maximum(scale, np.linalg.norm(x, axis=-1))
         resid = np.abs(line - (f(x) - f0))
         return resid, 1.0 + scale, alive
 
@@ -382,16 +378,14 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
     def block(lo, hi):
         worst = 0.0
 
-        def track(k, x, x_dB, dW, vs, alive):
+        def track(k, x, vs, alive):
             # x_k for k >= 1 is the state after the advance of step k - 1
             nonlocal worst
             if k > 0 and np.any(alive):
                 res = np.linalg.norm(model.geometry.constraint(x), axis=-1)
                 worst = max(worst, float(np.max(res[alive])))
 
-        x, alive, _, _ = simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m),
-                                  hook=track)
-        track(grid.n_steps, x, None, None, (), alive)  # the state after the last step
+        simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m), hook=track)
         return worst
 
     return max(_map_paths(model, grid, n_paths, block, threads))

@@ -23,7 +23,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
 from .paths import TimeGrid, _philox, noise_block, simulate, weight
-from .variation import (_as_vector, covariant_drift_deriv, first_variation_step,
+from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
 _AUX_STREAM = 1 << 32  # sub-stream slot for auxiliary draws (inner paths use 1..n_inner)
@@ -203,36 +203,34 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         w = second_variation_step(model, x, x1, u, u1, v, w, dW, dt)
         return [u1, first_variation_step(model, x, x1, v, dW, dt), w]
 
+    def correction(k, x, x_dB, dW, vs):
+        # <DX(x)(u) dB, v> + <X(x) dB, w>, or <DY(x)(u, v) + Y(x) w, dB> on flat models
+        u, v, w = vs
+        if manifold:
+            dxu = np.einsum("bnm,bm->bn", model.DX(x, u), dW)
+            return model.metric_dot(x, dxu, v) + model.metric_dot(x, x_dB, w)
+        return np.einsum("bm,bm->b", model.DY(x, u, v) + apply_right_inverse(model, x, w), dW)
+
+    # the nested variant estimates the correction by inner paths instead
+    sums = [weight(model, 0)] + ([correction] if variant == "weights" else [])
+
     def block(lo, hi):
         dWs = noise_block(grid, seed, lo, hi, model.m)
-        acc_corr = np.zeros(hi - lo)
         k_s = -1
         if variant == "nested":
             k_s = int(_philox(seed, _AUX_STREAM, lo).integers(0, K2))
         snap = {}
 
-        def correction(k, x, x_dB, dW, vs, alive):
-            nonlocal acc_corr
-            u, v, w = vs
+        def snapshot(k, x, vs, alive):  # the nested variant's state at k_s
             if k == k_s:
-                snap.update(x=x, u=u, v=v, w=w, alive=alive)
-            if variant != "weights":
-                return
-            if manifold:
-                dxu = np.einsum("bnm,bm->bn", model.DX(x, u), dW)
-                acc_corr += np.where(alive, model.metric_dot(x, dxu, v), 0.0)
-                acc_corr += np.where(alive, model.metric_dot(x, x_dB, w), 0.0)
-            else:
-                dy = model.DY(x, u, v)
-                yw = apply_right_inverse(model, x, w)
-                acc_corr += np.where(alive, np.einsum("bm,bm->b", dy + yw, dW), 0.0)
+                snap.update(x=x, u=vs[0], v=vs[1], w=vs[2], alive=alive)
 
-        x, alive, (_, v, _), (acc_u,) = simulate(
+        x, alive, (_, v, _), (acc_u, *acc_corr) = simulate(
             model, grid, x0, dWs[:, :K2], vs=(u0, v0, w0), flow=first_half_flow,
-            sums=[weight(model, 0)], hook=correction)
+            sums=sums, hook=snapshot)
         x, alive, _, (acc_v,) = simulate(model, grid, x, dWs[:, K2:], alive,
                                          vs=(v,), sums=[weight(model, 0)])
-        values = f(x) * (4.0 / (t * t) * acc_v * acc_u + 2.0 / t * acc_corr)
+        values = f(x) * (4.0 / (t * t) * acc_v * acc_u + 2.0 / t * sum(acc_corr))
         if variant == "nested":
             inner, inner_ok = _nested_correction(model, f, grid, seed, lo, hi, k_s,
                                                  snap, n_inner)
@@ -300,8 +298,7 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
     if manifold and time_coeffs is not None:
         raise UnsupportedModel("time-dependent coefficients are flat-space only")
     if manifold:
-        covariant_drift_deriv(model)  # fail before any path is simulated
-        stepping = {"flow": "hessian"}
+        stepping = {"flow": hessian_flow(model, dt)}
     else:
         model.require("DX", "DZ")
         stepping = {}
@@ -360,10 +357,10 @@ def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     f = as_observable(f)
     if model.geometry is not None and not model.h_brownian:
         raise UnsupportedModel("Hessian-flow gradient needs an h-Brownian or flat model")
-    covariant_drift_deriv(model)  # fail before any path is simulated
     t = grid.t_end
     return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
-                     vs=(v0,), flow="hessian", sums=[weight(model, 0, metric=True)],
+                     vs=(v0,), flow=hessian_flow(model, grid.dt),
+                     sums=[weight(model, 0, metric=True)],
                      n_paths=n_paths, seed=seed, threads=threads)
 
 

@@ -133,7 +133,6 @@ class ScalarObservable:
 
     f: Callable                       # (B, n) -> (B,)
     df: Optional[Callable] = None     # (B, n) -> (B, n), ambient gradient
-    hess: Optional[Callable] = None   # (x, u, v) -> (B,)
     bound: Optional[float] = None
     name: str = ""
 
@@ -270,28 +269,13 @@ def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
 
 
 def make_ou_model(rate=1.0) -> DiffusionModel:
-    """Ornstein-Uhlenbeck dx = -rate * x dt + dB on R^1, h = -rate x^2 / 2."""
+    """Ornstein-Uhlenbeck dx = -rate * x dt + dB on R^1, h = -rate x^2 / 2.
+
+    Brownian motion plus a linear drift: every other field is that of BM.
+    """
     r = float(rate)
-    model = make_flat_model(
-        1, 1,
-        X=_const_matrix_field(np.eye(1)),
-        Z=lambda x: -r * x,
-        DX=lambda x, v: np.zeros(x.shape + (1,)),
-        D2X=lambda x, u, v: np.zeros(x.shape + (1,)),
-        DZ=lambda x, v: -r * v,
-        D2Z=lambda x, u, v: np.zeros_like(u),
-        Y=_const_matrix_field(np.eye(1)),
-        DY=lambda x, u, v: np.zeros_like(u),
-        hess_h=lambda x, w: -r * w,
-        h_brownian=True,
-        kind="ou",
-        domain=(-3.0, 3.0),
-    )
-    model.apply_X = lambda x, e: e
-    model.apply_Y = lambda x, v: v
-    model.apply_DX = lambda x, v, e: 0.0
-    model.apply_D2X = lambda x, u, v, e: 0.0
-    return model
+    return replace(make_bm_model(1), Z=lambda x: -r * x, DZ=lambda x, v: -r * v,
+                   hess_h=lambda x, w: -r * w, kind="ou")
 
 
 # ---------------------------------------------------------------------------

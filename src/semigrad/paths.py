@@ -146,16 +146,17 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     """Step a block of paths through the increments dWs: (B, K, m).
 
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
-    Each step k, at the left endpoint x_k:
-    - ``step(k, x, dW)`` -> (x1, X(x) dW), by default the Euler, retraction
-      or group step; the group step passes None for X(x) dW when there is
-      no hook and no sum to read it;
+    Each callback has one job; step k works at the left endpoint x_k:
+    - ``step(k, x, dW)`` -> (x1, X(x) dW) moves the paths, by default by the
+      Euler, retraction or group step; the group step makes X(x) dW only
+      when there are sums (None otherwise);
     - running total i adds ``sums[i](k, x, X(x) dW, dW, vs)`` on live paths
-      (see ``weight``), in list order;
-    - ``hook(k, x, X(x) dW, dW, vs, alive)`` sees the same values;
-    - ``flow(k, x, x1, vs, dW)`` carries ``vs``, by default by first variation,
-      or by the Hessian flow when ``flow="hessian"``;
-    - paths whose new state leaves the blow-up radius freeze and drop out.
+      (see ``weight``), in list order; only sums read X(x) dW;
+    - ``flow(k, x, x1, vs, dW)`` carries ``vs``: None is the first
+      variation, else a callable such as ``variation.hessian_flow``;
+    - ``hook(k, x, vs, alive)`` only observes, at every state k = 0..K
+      (the last after the final step).
+    Paths whose new state leaves the blow-up radius freeze and drop out.
     Returns (x, alive, vs, totals) after the last step.
     """
     B, K, m = dWs.shape
@@ -170,12 +171,11 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
         geom = model.geometry
         drift = resolve_ito_drift(model)
         group_step = geom.step if geom is not None else None
-        reads_x_dB = hook is not None or bool(sums)
 
         def step(k, x, dW):
             if group_step is not None:
-                # the group step moves x itself; X(x) dW only feeds its readers
-                return group_step(x, dW, dt), apply_coeff(model, x, dW) if reads_x_dB else None
+                # the group step moves x itself; X(x) dW only feeds the sums
+                return group_step(x, dW, dt), apply_coeff(model, x, dW) if sums else None
             x_dB = apply_coeff(model, x, dW)
             x1 = x + x_dB + drift(x) * dt
             if geom is not None:
@@ -185,11 +185,6 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     if flow is None:
         def flow(k, x, x1, vs, dW):
             return [variation.first_variation_step(model, x, x1, v, dW, dt) for v in vs]
-    elif flow == "hessian":
-        drift_deriv = variation.covariant_drift_deriv(model)
-
-        def flow(k, x, x1, vs, dW):
-            return [variation.hessian_flow_step(model, x, x1, W, dt, drift_deriv) for W in vs]
     dot = make_dot(model.n)
     radius_sq = model.blow_up_radius ** 2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -199,7 +194,7 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
             for acc, inc in zip(totals, sums):
                 acc += np.where(alive, inc(k, x, x_dB, dW, vs), 0.0)
             if hook is not None:
-                hook(k, x, x_dB, dW, vs, alive)
+                hook(k, x, vs, alive)
             vs = flow(k, x, x1, vs, dW)
             ok = dot(x1, x1) <= radius_sq
             if alive.all() and ok.all():
@@ -207,6 +202,8 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
             else:
                 alive = alive & ok
                 x = np.where(alive[:, None], x1, x)
+    if hook is not None:
+        hook(K, x, vs, alive)
     return x, alive, vs, totals
 
 
@@ -223,7 +220,7 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray, *,
     alives = np.empty((B, K + 1), dtype=bool)
     fields = [np.empty((B, K + 1, model.n)) for _ in vs]
 
-    def record(k, x, x_dB, dW, vs, alive):
+    def record(k, x, vs, alive):
         states[:, k] = x
         alives[:, k] = alive
         for field, v in zip(fields, vs):
@@ -231,7 +228,6 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray, *,
 
     x, alive, vs, totals = simulate(model, grid, x0s, dWs, vs=vs, flow=flow,
                                     sums=sums, hook=record, step=step)
-    record(K, x, None, None, vs, alive)
     # survival is monotone, so the first False marks the blow-up step
     blow_step = np.where(alive, -1, np.argmin(alives, axis=1))
     return states, alive, blow_step, fields, totals
@@ -248,9 +244,10 @@ def integrate_ito(model, x0, grid: TimeGrid, noise: np.ndarray) -> Trajectory:
 def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
     """Carry the fields vs and running sums along the stored states of ``traj``.
 
-    ``simulate``'s step k moves to stored state k+1 and hands the sums X(x_k) dW_k
-    for the path's increments ``noise`` (zeros when None).  Returns (fields, totals);
-    raises ``BlownUpPath`` when ``traj`` is flagged as blown up.
+    ``simulate``'s step k moves to stored state k+1 and, when there are sums, hands
+    them X(x_k) dW_k for the path's increments ``noise`` (zeros when None).
+    Returns (fields, totals); raises ``BlownUpPath`` when ``traj`` is flagged
+    as blown up.
     """
     if traj.blew_up:
         raise BlownUpPath("trajectory was flagged as blown up")
@@ -258,7 +255,7 @@ def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
         noise = np.zeros((traj.grid.n_steps, model.m))
 
     def stored(k, x, dW):
-        return traj.states[k + 1][None], apply_coeff(model, x, dW)
+        return traj.states[k + 1][None], apply_coeff(model, x, dW) if sums else None
 
     _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid, noise[None],
                                               vs=vs, flow=flow, sums=sums, step=stored)

@@ -116,6 +116,13 @@ def hessian_flow_step(model, x, x1, W, dt, drift_deriv):
     return W1
 
 
+def hessian_flow(model, dt):
+    """The Hessian flow as a ``simulate`` flow; a missing drift derivative fails here."""
+    drift_deriv = covariant_drift_deriv(model)
+    return lambda k, x, x1, vs, dW: [hessian_flow_step(model, x, x1, W, dt, drift_deriv)
+                                     for W in vs]
+
+
 def initial_second_variation(model, x0, u0, v0):
     """w_0 for the second-variation recursion (ambient representation).
 
@@ -170,7 +177,7 @@ def evolve_second_variation(model, traj: paths.Trajectory, noise: np.ndarray,
 def evolve_hessian_flow(model, traj: paths.Trajectory, v0) -> VariationPath:
     """Deterministic flow W_k = (-Ric/2 + covariant drift derivative) along the path."""
     v0 = _as_vector(model, v0)
-    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow="hessian")
+    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow=hessian_flow(model, traj.grid.dt))
     return VariationPath(vectors=vectors, v0=v0)
 
 

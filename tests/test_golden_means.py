@@ -15,7 +15,7 @@ import pytest
 
 import semigrad as sg
 from semigrad import cli, diagnostics, estimators, forms
-from semigrad.models import PotentialField, TimeDependentCoefficients
+from semigrad.models import PotentialField, TimeDependentCoefficients, skew_from_axis
 
 from conftest import make_sine_noise_model
 
@@ -175,6 +175,22 @@ def _two_blocks():
                                            threads=2))
 
 
+def _so3(run_case):
+    # trace_e1 at the identity, in the flattened skew direction of the axis e1
+    def run():
+        sc, model = _scenario("so3")
+        return run_case(model, sc.observables["trace_e1"], sc.x0,
+                        skew_from_axis(sc.v0).reshape(-1))
+    return run
+
+
+def _so3_martingale(model, f, g0, v):
+    rep = diagnostics.martingale_mean_check(model, GRID, g0, v, n_paths=N_PATHS, seed=20,
+                                            threads=1)
+    return _pin(rep.empirical, rep.details["std_error"],
+                rep.details["second_moment_integral"])
+
+
 def _cases():
     with open(MANIFEST) as fh:
         rows = json.load(fh)
@@ -201,6 +217,15 @@ def _cases():
         "constraint_violation": _constraint,
         "blow_up": _blow_up,
         "two_blocks_two_workers": _two_blocks,
+        "so3-bel_gradient": _so3(lambda model, f, g0, v: _result(estimators.bel_gradient(
+            model, f, GRID, g0, v, n_paths=N_PATHS, seed=18, threads=1))),
+        "so3-finite_difference": _so3(lambda model, f, g0, v: _result(
+            diagnostics.finite_difference_oracle(model, f, GRID, g0, v, delta=1e-2,
+                                                 n_paths=N_PATHS, seed=19, threads=1))),
+        "so3-martingale_mean_check": _so3(_so3_martingale),
+        "so3-hessian_flow_gradient": _so3(lambda model, f, g0, v: _result(
+            estimators.hessian_flow_gradient(model, f, GRID, g0, v, n_paths=N_PATHS,
+                                             seed=21, threads=1))),
     })
     return cases
 
@@ -238,6 +263,10 @@ GOLDEN = {
     'row12-sphere3-q_form_semigroup': ['0x1.bbea5207bcfd2p-1', '0x1.3757fc3388f82p-4', 0],
     'row13-so3-lie_group_gradient': ['-0x1.2348e4a62b906p+0', '0x1.00e9362f26c65p-4', 0],
     'row14-ou1d-bel_gradient': ['0x1.4da771223f532p-2', '0x1.73eb9a7abc8a3p-6', 0],
+    'so3-bel_gradient': ['-0x1.61f1c53ce5001p-1', '0x1.4bd210f598f1ap-5', 0],
+    'so3-finite_difference': ['-0x1.6f070ca259cf9p-1', '0x1.274a1685d2852p-5', 0],
+    'so3-hessian_flow_gradient': ['-0x1.77d5157ec5ebcp-1', '0x1.2d51de8bec808p-5', 0],
+    'so3-martingale_mean_check': ['-0x1.72032a34cbd80p-8', '0x1.65ddba5dfe818p-5', '0x1.02c62e02463f5p+0'],
     'score_gradient-circle-gaussian': ['0x1.4712c81956a05p+0', '0x1.750fb5f189f6ap-4', 0],
     'two_blocks_two_workers': ['0x1.35b461f0bc61ep-1', '0x1.21d764ba9627ep-8', 0],
     'variation_l2_integral': ['0x1.f34a4f0d94e6dp-1'],

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semigrad as sg
-from semigrad import TimeGrid, diagnostics, estimators, generate_noise, integrate_ito, paths
+from semigrad import (TimeGrid, diagnostics, estimators, generate_noise, integrate_ito, paths,
+                      variation)
 from semigrad.engine import default_block_size
-from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative
+from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative, MissingGeometry
 from semigrad.models import make_flat_model, skew_from_axis
 from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
 
@@ -266,7 +267,7 @@ class TestStatisticalSanity:
 
 
 class TestGroupStep:
-    """A group-step model computes X(x) dW only for a hook or a sum that reads it."""
+    """A group step or a stored-state step makes X(x) dW only when there are sums."""
 
     GRID = TimeGrid(0.5, 20)
     RUN = {"n_paths": 512, "seed": 1, "threads": 1}
@@ -301,6 +302,40 @@ class TestGroupStep:
         assert calls[0] == self.GRID.n_steps
         diagnostics.martingale_mean_check(model, self.GRID, g0, v, **self.RUN)
         assert calls[0] == 2 * self.GRID.n_steps
+
+    def test_per_path_calls_make_no_x_dW(self, calls):
+        # neither integrate_ito's recording hook nor a field carrier reads X(x) dW
+        grid = TimeGrid(1.0, 50)
+        sc = sg.get_scenario("sphere3")
+        sphere = sc.make()
+        noise = generate_noise(grid, 5, 0, sphere.m)
+        traj = integrate_ito(sphere, sc.x0, grid, noise)  # an Euler step makes X(x) dW
+        assert calls[0] == grid.n_steps
+        model, _, g0, _ = self._so3()
+        integrate_ito(model, g0, grid, generate_noise(grid, 5, 0, model.m))
+        u = variation.evolve_first_variation(sphere, traj, noise, sc.u0)
+        v = variation.evolve_first_variation(sphere, traj, noise, sc.v0)
+        variation.evolve_second_variation(sphere, traj, noise, u, v)
+        variation.evolve_hessian_flow(sphere, traj, sc.v0)
+        variation.parallel_transport(sphere, traj, sc.v0)
+        assert calls[0] == grid.n_steps
+
+    def test_line_integral_reads_x_dW(self):
+        # the exact-form line integral is a sum that reads X(x) dW on SO(3)
+        model, f, g0, _ = self._so3()
+        resid, scales = diagnostics.exact_form_residuals(
+            model, f, lambda x: 2.0 * f(x), TimeGrid(1.0, 20), g0,
+            n_paths=512, seed=11, threads=1)
+        assert [float.hex(float(np.sum(resid))), float.hex(float(np.sum(scales)))] == [
+            "0x1.2919301668392p+6", "0x1.5db3d742c2655p+10"]
+
+    def test_hessian_correction_reads_x_dW(self):
+        # the correction sum gets X(x) dW, so the missing second-variation
+        # geometry is what fails, not a None increment
+        model, f, g0, v = self._so3()
+        with pytest.raises(MissingGeometry):
+            estimators.bel_hessian(model, f, self.GRID, g0, v, v, n_paths=16, seed=0,
+                                   threads=1)
 
     def test_skipping_x_dW_changes_nothing(self):
         # a step that makes no X(x) dW moves the paths and the weight bitwise as the default
@@ -350,3 +385,23 @@ def test_curvature_terms_have_one_home():
         readers += [(name, n, any(a <= n <= b for a, b in spans))
                     for n, line in enumerate(text.splitlines(), 1) if "hess_h" in line]
     assert readers and all(inside for _, _, inside in readers), readers
+
+
+def test_simulate_callbacks_keep_their_contract():
+    # the Hessian correction is a sum, not an accumulator in a hook, and every
+    # flow is None or a callable: no module passes a string flow=
+    src = os.path.dirname(sg.__file__)
+    assert "nonlocal" not in open(os.path.join(src, "estimators.py")).read()
+    string_flows = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        for node in ast.walk(ast.parse(open(path).read())):
+            string_flows += [(os.path.basename(path), node.lineno)
+                             for key in getattr(node, "keywords", [])
+                             if key.arg == "flow" and isinstance(key.value, ast.Constant)
+                             and isinstance(key.value.value, str)]
+            if isinstance(node, ast.Dict):
+                string_flows += [(os.path.basename(path), node.lineno)
+                                 for k, v in zip(node.keys, node.values)
+                                 if isinstance(k, ast.Constant) and k.value == "flow"
+                                 and isinstance(v, ast.Constant) and isinstance(v.value, str)]
+    assert not string_flows, string_flows
