@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -64,6 +65,8 @@ class ExperimentConfig:
             raise InvalidConfig("n_paths must be >= 1")
         if self.n_steps < 1:
             raise InvalidConfig("n_steps must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if self.delta == 0 or not np.isfinite(self.delta):
             raise InvalidConfig("delta must be finite and nonzero")
         if self.n_inner < 1:
@@ -129,6 +132,17 @@ def _parse_vector(text) -> np.ndarray:
     return np.asarray([float(p) for p in str(text).split(",")], dtype=float)
 
 
+def _parse_int(key, val) -> int:
+    """An int or integer string exactly; a float such as 1e5 only when integral."""
+    try:
+        return int(val) if isinstance(val, str) else operator.index(val)
+    except (TypeError, ValueError):
+        num = float(val)
+    if not num.is_integer():
+        raise InvalidConfig(f"{key} must be an integer, got {val!r}")
+    return int(num)
+
+
 _VECTOR_KEYS = ("x0", "v0", "u0", "y")
 _INT_KEYS = ("n_paths", "n_steps", "seed", "n_inner")
 _FLOAT_KEYS = ("t", "bandwidth", "delta", "tol_rel", "tol_abs")
@@ -143,7 +157,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             if key in _VECTOR_KEYS:
                 val = _parse_vector(val)
             elif key in _INT_KEYS:
-                val = int(float(val))
+                val = _parse_int(key, val)
             elif key in _FLOAT_KEYS:
                 val = float(val)
         except (TypeError, ValueError):

@@ -63,10 +63,6 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
     so it draws the rows of its tile before it.  The increments are row 0 of
     ``noise_block``.
     """
-    if m < 1:
-        raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-    if not 0 <= path_index <= _UINT64_MASK:
-        raise InvalidConfig(f"path_index must be in [0, 2**64), got {path_index}")
     return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
@@ -79,21 +75,34 @@ def _philox(seed: int, stream: int, index: int) -> np.random.Generator:
 
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
-    """Increments for paths lo..hi-1 stacked as (hi-lo, n_steps, m).
+    """Increments for paths lo..hi-1 as a (hi-lo, n_steps, m) view.
 
     Philox keyed by (seed, stream, 256-path tile); the rows of a tile are
     consecutive draws from its stream.  Row i depends only on
     (seed, lo + i, stream), never on the block bounds: a block that starts
     inside a tile draws the tile's earlier rows and discards them.
+    Each tile is drawn into one reused (<= 256, n_steps, m) scratch, scaled by
+    sqrt(dt) there and copied into a step-major (n_steps, hi-lo, m) buffer;
+    the result is that buffer's transposed view, so each step's ``[:, k]``
+    is contiguous.
     """
-    out = np.empty((hi - lo, grid.n_steps, m))
+    if m < 1:
+        raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
+    if not 0 <= lo <= hi <= 1 << 64:
+        raise InvalidConfig(f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
+    if not 0 <= stream <= _UINT64_MASK:
+        raise InvalidConfig(f"stream must be in [0, 2**64), got {stream}")
+    out = np.empty((grid.n_steps, hi - lo, m))
+    rows = np.empty((min(_TILE, hi - lo), grid.n_steps, m))
     for tile in range(lo // _TILE, -(-hi // _TILE)):
         first, stop = max(lo, tile * _TILE), min(hi, (tile + 1) * _TILE)
         gen = _philox(seed, stream, tile)
         gen.standard_normal((first - tile * _TILE, grid.n_steps, m))  # discard rows before lo
-        gen.standard_normal((stop - first, grid.n_steps, m), out=out[first - lo:stop - lo])
-    out *= np.sqrt(grid.dt)
-    return out
+        tile_rows = rows[:stop - first]
+        gen.standard_normal(out=tile_rows)
+        tile_rows *= np.sqrt(grid.dt)  # in the cached tile: a plain transposing copy beats a ufunc
+        out[:, first - lo:stop - lo] = tile_rows.transpose(1, 0, 2)
+    return out.transpose(1, 0, 2)
 
 
 def stratonovich_to_ito_drift(model, x) -> np.ndarray:
@@ -143,7 +152,10 @@ def weight(model, i, metric=None):
 
 def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
              flow=None, sums=(), hook=None, step=None):
-    """Step a block of paths through the increments dWs: (B, K, m).
+    """Step a block of paths through the increments dWs: (B, K, m), any strides.
+
+    The step-major view ``noise_block`` returns is the fast layout: each
+    step's ``dWs[:, k]`` is contiguous.
 
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
     Each callback has one job; step k works at the left endpoint x_k:

@@ -84,6 +84,33 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig):
             parse_config_text("   ")
 
+    @pytest.mark.parametrize("seed", [2 ** 53 + 1, str(2 ** 53 + 1), 2 ** 64 - 1,
+                                      str(2 ** 64 - 1)])
+    def test_large_seed_parsed_exactly(self, seed):
+        assert _cfg(seed=seed).seed == int(seed)
+
+    @pytest.mark.parametrize("val", ["1e5", 1e5, 100000.0, "100000"])
+    def test_integral_float_accepted(self, val):
+        assert _cfg(n_paths=val).n_paths == 100_000
+
+    @pytest.mark.parametrize("key,val", [("seed", 1.5), ("seed", "1.5"), ("n_paths", "2.5"),
+                                         ("n_steps", "nan"), ("n_inner", "inf")])
+    def test_non_integral_rejected(self, key, val):
+        with pytest.raises(InvalidConfig, match=f"{key} must be an integer"):
+            _cfg(**{key: val})
+
+    @pytest.mark.parametrize("seed", [-1, "-1", 2 ** 64, str(2 ** 64)])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(InvalidConfig, match="seed"):
+            _cfg(seed=seed)
+
+    @pytest.mark.parametrize("a,b", [(2 ** 53, 2 ** 53 + 1), (0, 2 ** 64 - 1)])
+    def test_distinct_seeds_draw_distinct_noise(self, a, b):
+        # seeds that float parsing used to alias must give different paths
+        small = dict(n_paths=256, n_steps=20)
+        assert run_experiment(_cfg(seed=a, **small)).mean != \
+            run_experiment(_cfg(seed=b, **small)).mean
+
 
 class TestRunExperiment:
     def test_gradient_with_oracle(self):
@@ -247,6 +274,14 @@ class TestMainEntry:
                                           ("so3", str(2 ** 64 - 1))])
     def test_check_seed_out_of_range_exits_1(self, capsys, sid, seed):
         assert main(["check", sid, "--seed", seed, "--paths", "100", "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+    def test_run_negative_seed_exits_1(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\n"
+                            "n_paths=100\nn_steps=10\n")
+        assert main(["run", "--config", str(cfg_file), "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
 

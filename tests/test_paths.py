@@ -72,6 +72,18 @@ class TestNoise:
         with pytest.raises(InvalidConfig, match="path_index"):
             generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
 
+    @pytest.mark.parametrize("lo,hi,m,stream,error", [
+        (0, 5, 0, 0, DimensionMismatch),
+        (5, 3, 1, 0, InvalidConfig),
+        (-3, 5, 1, 0, InvalidConfig),
+        (2 ** 64 - 1, 2 ** 64 + 1, 1, 0, InvalidConfig),
+        (0, 5, 1, -1, InvalidConfig),
+        (0, 5, 1, 2 ** 64, InvalidConfig),
+    ])
+    def test_noise_block_rejects_bad_inputs(self, lo, hi, m, stream, error):
+        with pytest.raises(error):
+            noise_block(TimeGrid(1.0, 10), 0, lo, hi, m, stream)
+
 
 class TestNoiseContract:
     """Philox keyed by (seed, stream, 256-path tile): rows never depend on the block bounds."""
@@ -100,6 +112,20 @@ class TestNoiseContract:
         assert not np.array_equal(block[255], block[256])
         other = noise_block(self.GRID, 5, 0, 512, 2, stream=1)
         assert not np.any(np.all(other == block, axis=(1, 2)))
+
+    @pytest.mark.parametrize("lo,hi", [(0, 512), (100, 400)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("stream", [0, 7])
+    def test_step_major_layout(self, lo, hi, m, stream):
+        # every step's increments are contiguous; the values are the
+        # path-major tile draws, scaled by sqrt(dt)
+        block = noise_block(self.GRID, 5, lo, hi, m, stream)
+        assert all(block[:, k].flags.c_contiguous for k in range(self.GRID.n_steps))
+        tiles = range(lo // 256, -(-hi // 256))
+        drawn = np.concatenate([paths._philox(5, stream, tile).standard_normal(
+            (256, self.GRID.n_steps, m)) for tile in tiles]) * np.sqrt(self.GRID.dt)
+        start = lo - tiles[0] * 256
+        assert np.array_equal(block, drawn[start:start + hi - lo])
 
     def test_default_blocks_hold_whole_tiles(self):
         # estimator blocks start on a tile boundary, so they never draw rows they discard
