@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine
 from .errors import (InvalidConfig, MissingDerivative, MissingGeometry, UnsupportedModel,
                      ZeroDirection)
 from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
-                         _result_from_sums, bel_gradient, semigroup_value)
+                         bel_gradient, semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import (apply_right_inverse, as_observable, make_dot,
                      sample_directions, sample_points)
@@ -164,8 +163,6 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     integral E |Y v|^2 ds, and the blow-up fraction.
     """
     model.require("DX", "DZ")
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
     manifold = model.geometry is not None
 
     def second_moment(k, x, x_dB, dW, vs):
@@ -174,23 +171,16 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
         yv = apply_right_inverse(model, x, vs[0])
         return np.einsum("bm,bm->b", yv, yv) * grid.dt
 
-    def block(lo, hi):
-        # workers may be forked processes: everything accumulated must be returned
-        x, alive, _, (wsum, qsum) = simulate(model, grid, x0,
-                                             noise_block(grid, seed, lo, hi, model.m),
-                                             vs=(v0,), sums=[weight(model, 0), second_moment])
-        return engine.scalar_stats(wsum, alive) + (float(np.sum(qsum[alive])),)
-
-    *sums, q_total = engine.combine_scalar(_map_paths(model, grid, n_paths, block, threads))
-    res = _result_from_sums(model, sums, seed, grid, {})
-    q_count = res.n_paths - res.n_rejected
+    res = _estimate(model, grid, x0, lambda x, vs, sums: tuple(sums), vs=(v0,), n_paths=n_paths,
+                    sums=[weight(model, 0), second_moment], seed=seed, threads=threads)
+    n_ok = res.n_paths - res.n_rejected
     tol = 3.0 * res.std_error
     passed = abs(res.mean) <= tol and res.valid
     details = {
         "std_error": res.std_error,
-        "second_moment_integral": q_total / max(q_count, 1),
+        "second_moment_integral": res.columns[1].total / n_ok,
         "blowup_fraction": res.metadata.get("blowup_fraction", 0.0),
-        "weight_variance": res.std_error ** 2 * max(res.n_paths - res.n_rejected, 1),
+        "weight_variance": res.std_error ** 2 * n_ok,
     }
     if not res.valid:
         details["warning"] = "blow-up fraction above 1%"
@@ -225,7 +215,7 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
         xp, alive_p, _, _ = simulate(model, grid, x_plus, dWs)
         xm, alive_m, _, _ = simulate(model, grid, x_minus, dWs)
         values = (f(xp) - f(xm)) / (2.0 * delta)
-        return values, alive_p & alive_m
+        return (values,), alive_p & alive_m
 
     meta = {"delta": delta}
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,

@@ -1,9 +1,9 @@
 """Deterministic block-parallel Monte Carlo driver.
 
 Paths are processed in fixed-size blocks keyed by path index.  Each block
-reduces to partial sums with numpy's pairwise summation; blocks are then
-combined in index order, so results are bit-identical for any worker count
-(workers only decide who computes a block, never how sums are grouped).
+reduces its per-path columns to ``Moments`` with numpy's pairwise summation;
+blocks are then merged in index order, so results are bit-identical for any
+worker count (workers only decide who computes a block, never how sums are grouped).
 Workers are forked processes where the platform allows it, since the step
 loops are Python-bound and do not scale under the GIL.
 """
@@ -100,17 +100,20 @@ class Moments(NamedTuple):
         return Moments(zero + self.total, self.m2, self.n)
 
 
-def scalar_stats(values: np.ndarray, ok: np.ndarray):
-    """(Moments of the surviving values, n_rejected) for one block."""
-    good = values[ok]
-    total = float(np.sum(good))
-    n = max(good.size, 1)
-    dev = good - total / n
-    # corrected two-pass: the second term cancels the rounding of the block mean
-    m2 = max(0.0, float(np.sum(dev * dev)) - float(np.sum(dev)) ** 2 / n)
-    return Moments(total, m2, int(good.size)), int(ok.size - good.size)
+def scalar_stats(columns, ok: np.ndarray):
+    """(Moments of each column's values on the survivors ``ok``..., n_rejected) for one block."""
+    stats = []
+    for values in columns:
+        good = values[ok]
+        total = float(np.sum(good))
+        n = max(good.size, 1)
+        dev = good - total / n
+        # corrected two-pass: the second term cancels the rounding of the block mean
+        m2 = max(0.0, float(np.sum(dev * dev)) - float(np.sum(dev)) ** 2 / n)
+        stats.append(Moments(total, m2, int(good.size)))
+    return (*stats, int(ok.size - np.count_nonzero(ok)))
 
 
 def combine_scalar(blocks):
-    """Add per-block tuples (plain sums or ``Moments``) position by position, in block order."""
+    """Merge per-block ``scalar_stats`` tuples position by position, in block order."""
     return tuple(sum(column) for column in zip(*blocks))

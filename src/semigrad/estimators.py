@@ -3,15 +3,16 @@
 Every estimator follows the same per-path recipe: generate counter-based
 noise, integrate the SDE, co-evolve whichever variation flows the formula
 needs, accumulate a stochastic-integral weight with left-endpoint (Ito)
-evaluation on the same increments as the trajectory, and average.  All
-estimators return an EstimatorResult with mean, standard error, and
-blow-up accounting; means are bit-reproducible from (seed, config)
-regardless of the worker count.
+evaluation on the same increments as the trajectory, and average the
+per-path columns with the one ``engine`` reducer.  All estimators return
+an EstimatorResult with mean, standard error, merged columns and blow-up
+accounting; means are bit-reproducible from (seed, config) regardless of
+the worker count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ class EstimatorResult:
     seed: int
     grid: TimeGrid
     metadata: dict = field(default_factory=dict)
+    columns: tuple = ()  # merged engine.Moments of each per-path column; the mean is column 0's
 
     @property
     def valid(self) -> bool:
@@ -76,9 +78,9 @@ def _annotate(model, metadata, n_rej, total) -> dict:
     return meta
 
 
-def _result_from_sums(model, sums, seed, grid, metadata=None) -> EstimatorResult:
-    """Mean and standard error from the merged ``scalar_stats`` sums."""
-    (s1, m2, n_ok), n_rej = sums
+def _result_from_sums(model, columns, n_rej, seed, grid, metadata=None) -> EstimatorResult:
+    """Mean and standard error of column 0 of the merged ``scalar_stats`` columns."""
+    s1, m2, n_ok = columns[0]
     if n_ok == 0:
         raise AllPathsBlewUp("no surviving paths")
     mean = s1 / n_ok
@@ -87,7 +89,8 @@ def _result_from_sums(model, sums, seed, grid, metadata=None) -> EstimatorResult
     total = n_ok + n_rej
     return EstimatorResult(mean=mean, std_error=se, n_paths=total,
                            n_rejected=n_rej, seed=seed, grid=grid,
-                           metadata=_annotate(model, metadata, n_rej, total))
+                           metadata=_annotate(model, metadata, n_rej, total),
+                           columns=tuple(columns))
 
 
 def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
@@ -100,21 +103,28 @@ def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
 
 def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
                metadata=None) -> EstimatorResult:
+    """Reduce block_fn(lo, hi) -> (columns, ok) over all paths; the mean is column 0's."""
     blocks = _map_paths(model, grid, n_paths,
                         lambda lo, hi: engine.scalar_stats(*block_fn(lo, hi)), threads)
-    return _result_from_sums(model, engine.combine_scalar(blocks), seed, grid, metadata)
+    *columns, n_rej = engine.combine_scalar(blocks)
+    return _result_from_sums(model, columns, n_rej, seed, grid, metadata)
 
 
 def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=None,
               **spec) -> EstimatorResult:
-    """Mean of endpoint(x_t, v_t, sums) over paths stepped by ``simulate(**spec)``."""
+    """Mean of endpoint(x_t, v_t, sums) over paths stepped by ``simulate(**spec)``.
+
+    The endpoint returns one per-path column or a tuple of them, each merged
+    into ``EstimatorResult.columns``; the mean and standard error are column 0's.
+    """
     x0 = _as_vector(model, x0)
     spec["vs"] = [_as_vector(model, v) for v in spec.get("vs", ())]
 
     def block(lo, hi):
         x, alive, vs, sums = simulate(model, grid, x0,
                                       noise_block(grid, seed, lo, hi, model.m), **spec)
-        return endpoint(x, vs, sums), alive
+        columns = endpoint(x, vs, sums)
+        return columns if isinstance(columns, tuple) else (columns,), alive
 
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
                       metadata=metadata)
@@ -236,7 +246,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
                                                  snap, n_inner)
             values = values + inner
             alive = alive & inner_ok
-        return values, alive
+        return (values,), alive
 
     meta = {"variant": variant}
     if variant == "nested":
@@ -377,41 +387,32 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
     Bandwidth bias is O(bandwidth^2) (recorded in metadata).
     """
     model.require("DX", "DZ")
-    x0 = _as_vector(model, x0)
-    v0 = _as_vector(model, v0)
     y = _as_vector(model, bins.target)
     t = grid.t_end
 
-    def block(lo, hi):
-        x, alive, _, (wsum,) = simulate(model, grid, x0,
-                                        noise_block(grid, seed, lo, hi, model.m),
-                                        vs=(v0,), sums=[weight(model, 0)])
+    def endpoint(x, vs, sums):
         dist = np.linalg.norm(x - y, axis=-1)
-        if bins.kernel == "box":
-            kw = (dist <= bins.bandwidth).astype(float)
-        else:
-            kw = np.exp(-0.5 * (dist / bins.bandwidth) ** 2)
-        kw = np.where(alive, kw, 0.0)
-        vals = wsum / t
-        return (float(np.sum(kw)), float(np.sum(kw * kw)), float(np.sum(kw * vals)),
-                float(np.sum(kw * vals * vals)), int(np.sum(~alive)))
+        kw = ((dist <= bins.bandwidth).astype(float) if bins.kernel == "box"
+              else np.exp(-0.5 * (dist / bins.bandwidth) ** 2))
+        vals = sums[0] / t
+        return kw, kw * kw, kw * vals, kw * vals * vals
 
-    sw, sw2, swv, swv2, n_rej = engine.combine_scalar(
-        _map_paths(model, grid, n_paths, block, threads))
+    res = _estimate(model, grid, x0, endpoint, vs=(v0,), sums=[weight(model, 0)],
+                    n_paths=n_paths, seed=seed, threads=threads)
+    sw, sw2, swv, swv2 = (c.total for c in res.columns)
     if sw <= 0:
         raise EmptyBin(f"no paths within bandwidth {bins.bandwidth} of target")
     mean = swv / sw
     var = max(0.0, swv2 / sw - mean * mean)
     n_eff = sw * sw / sw2 if sw2 > 0 else 0.0
     se = float(np.sqrt(var / max(n_eff, 1.0)))
-    meta = _annotate(model, {
+    return replace(res, mean=mean, std_error=se, metadata={
+        **res.metadata,
         "effective_count": n_eff,
         "in_bin_weight": sw,
         "bandwidth_bias_order": bins.bandwidth ** 2,
         "kernel": bins.kernel,
-    }, n_rej, n_paths)
-    return EstimatorResult(mean=mean, std_error=se, n_paths=n_paths,
-                           n_rejected=n_rej, seed=seed, grid=grid, metadata=meta)
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ estimator needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,10 +33,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        if not 0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -69,7 +70,7 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
 def _philox(seed: int, stream: int, index: int) -> np.random.Generator:
     """A fresh Philox stream keyed by seed, counting from (stream, index)."""
     return np.random.Generator(np.random.Philox(
-        key=np.array([int(seed) & _UINT64_MASK, 0], dtype=np.uint64),
+        key=np.array([seed, 0], dtype=np.uint64),
         counter=np.array([0, 0, stream, index], dtype=np.uint64)))
 
 
@@ -88,10 +89,11 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
     """
     if m < 1:
         raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
+    for name, key in (("seed", seed), ("stream", stream)):  # Philox key and counter words
+        if not (hasattr(key, "__index__") and 0 <= operator.index(key) <= _UINT64_MASK):
+            raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {key!r}")
     if not 0 <= lo <= hi <= 1 << 64:
         raise InvalidConfig(f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
-    if not 0 <= stream <= _UINT64_MASK:
-        raise InvalidConfig(f"stream must be in [0, 2**64), got {stream}")
     out = np.empty((grid.n_steps, hi - lo, m))
     rows = np.empty((min(_TILE, hi - lo), grid.n_steps, m))
     for tile in range(lo // _TILE, -(-hi // _TILE)):

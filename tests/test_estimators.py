@@ -331,6 +331,19 @@ class TestScoreGradient:
         assert any("finite-difference" in w for w in r.metadata["warnings"])
         assert any("blow-up radius" in w for w in r.metadata["warnings"])
 
+    def test_dead_paths_leave_every_column(self):
+        # the four kernel columns are reduced over the survivors, like any estimator's
+        model = make_cubic_blowup_model()
+        grid = TimeGrid(1.0, 100)
+        bins = ConditionalBinSpec(target=np.array([0.5]), bandwidth=0.5)
+        r = sg.score_gradient(model, grid, [1.0], [1.0], bins, n_paths=3000, seed=34, threads=1)
+        v = sg.semigroup_value(model, lambda x: x[..., 0], grid, [1.0], n_paths=3000, seed=34,
+                               threads=1)
+        assert r.n_rejected == v.n_rejected > 0
+        assert len(r.columns) == 4
+        assert all(c.n == r.n_paths - r.n_rejected for c in r.columns)
+        assert r.metadata["in_bin_weight"] == r.columns[0].total
+
     def test_metadata_without_rejections(self, bm1):
         bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
         r = sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=33,
@@ -400,6 +413,51 @@ class TestResultContract:
             else:
                 os.environ[key] = old
         assert a.mean == b.mean
+
+    @pytest.mark.parametrize("name", ["score_gradient", "martingale_mean_check",
+                                      "bel_hessian_nested", "finite_difference_oracle"])
+    def test_multi_column_worker_count_invariance(self, name):
+        # three blocks at 10 steps; the cubic model makes n_rejected non-zero
+        grid = TimeGrid(1.0, 10)
+        n = 2 * sg.engine.default_block_size(grid.n_steps, 1) + 1000
+        cubic, sine = make_cubic_blowup_model(), make_sine_noise_model()
+        bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
+        run = {
+            "score_gradient": lambda threads: sg.score_gradient(
+                cubic, grid, [1.0], [1.0], bins, n_paths=n, seed=45, threads=threads),
+            "martingale_mean_check": lambda threads: sg.martingale_mean_check(
+                cubic, grid, [1.0], [1.0], n_paths=n, seed=46, threads=threads),
+            "bel_hessian_nested": lambda threads: sg.bel_hessian(
+                sine, sin_obs(), grid, [0.3], [1.0], [1.0], variant="nested", n_paths=n,
+                seed=47, threads=threads),
+            "finite_difference_oracle": lambda threads: sg.finite_difference_oracle(
+                cubic, lambda x: np.tanh(x[..., 0]), grid, [1.0], [1.0], n_paths=n, seed=48,
+                threads=threads),
+        }[name]
+        one, two = run(1), run(2)
+        if name == "martingale_mean_check":
+            assert one.details == two.details and one.empirical == two.empirical
+            assert one.details["blowup_fraction"] > 0
+        else:
+            assert (one.mean, one.std_error, one.n_rejected) == (
+                two.mean, two.std_error, two.n_rejected)
+            assert one.columns == two.columns
+
+    def test_columns_hold_the_mean(self):
+        model = make_cubic_blowup_model()
+        r = sg.semigroup_value(model, lambda x: np.tanh(x[..., 0]), TimeGrid(1.0, 100), [1.0],
+                               n_paths=3000, seed=49, threads=1)
+        n_ok = r.n_paths - r.n_rejected
+        assert r.n_rejected > 0 and len(r.columns) == 1
+        assert r.columns[0].n == n_ok
+        assert r.columns[0].total / n_ok == r.mean
+
+    def test_seed_outside_uint64_rejected(self, bm1):
+        # a negative seed used to alias onto seed + 2**64
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(InvalidConfig, match="seed"):
+                sg.bel_gradient(bm1, sin_obs(), TimeGrid(1.0, 10), [0.0], [1.0], n_paths=10,
+                                seed=seed)
 
     def test_rejected_paths_flagged(self):
         model = make_cubic_blowup_model()

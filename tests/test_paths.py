@@ -33,6 +33,14 @@ class TestTimeGrid:
             TimeGrid(0.0, 10)
         with pytest.raises(ValueError):
             TimeGrid(-1.0, 10)
+        # a non-finite horizon would make dt infinite and every path "blow up"
+        for t_end in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_end"):
+                TimeGrid(t_end, 10)
+        for n_steps in (2.5, 10.0, "10"):
+            with pytest.raises(ValueError, match="n_steps"):
+                TimeGrid(1.0, n_steps)
+        assert TimeGrid(1.0, np.int64(10)).dt == 0.1
 
 
 class TestNoise:
@@ -79,10 +87,25 @@ class TestNoise:
         (2 ** 64 - 1, 2 ** 64 + 1, 1, 0, InvalidConfig),
         (0, 5, 1, -1, InvalidConfig),
         (0, 5, 1, 2 ** 64, InvalidConfig),
+        (0, 5, 1, 1.5, InvalidConfig),
     ])
     def test_noise_block_rejects_bad_inputs(self, lo, hi, m, stream, error):
         with pytest.raises(error):
             noise_block(TimeGrid(1.0, 10), 0, lo, hi, m, stream)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 1.0, np.float64(2.0), "1", None])
+    def test_noise_block_rejects_bad_seed(self, seed):
+        # the Philox key is the seed itself: nothing may alias onto another seed
+        with pytest.raises(InvalidConfig, match="seed"):
+            noise_block(TimeGrid(1.0, 10), seed, 0, 4, 1)
+
+    def test_seed_integer_types_agree(self):
+        grid = TimeGrid(1.0, 10)
+        top = noise_block(grid, 2 ** 64 - 1, 0, 4, 1)
+        assert np.array_equal(noise_block(grid, np.uint64(2 ** 64 - 1), 0, 4, 1), top)
+        assert np.array_equal(noise_block(grid, np.int64(7), 0, 4, 1),
+                              noise_block(grid, 7, 0, 4, 1))
+        assert not np.array_equal(noise_block(grid, 0, 0, 4, 1), top)
 
 
 class TestNoiseContract:
