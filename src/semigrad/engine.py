@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import DimensionMismatch, InvalidConfig
 
 DEFAULT_BLOCK_SIZE = 2048
 _NOISE_BLOCK_BYTES = 256 * 2 ** 20
@@ -104,6 +104,8 @@ def scalar_stats(columns, ok: np.ndarray):
     """(Moments of each column's values on the survivors ``ok``..., n_rejected) for one block."""
     stats = []
     for values in columns:
+        if np.shape(values) != ok.shape:  # a (B, 1) column times a (B,) weight is (B, B)
+            raise DimensionMismatch(f"per-path column of shape {np.shape(values)}, not {ok.shape}")
         good = values[ok]
         total = float(np.sum(good))
         n = max(good.size, 1)

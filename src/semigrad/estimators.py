@@ -24,7 +24,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
 from .paths import TimeGrid, _philox, noise_block, simulate, weight
-from .variation import (_as_vector, first_variation_step, hessian_flow,
+from .variation import (_as_vector, apply_dx, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
 _AUX_STREAM = 1 << 32  # sub-stream slot for auxiliary draws (inner paths use 1..n_inner)
@@ -265,8 +265,7 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     B = hi - lo
     x_s, u_s, v_s, w_s = snap["x"], snap["u"], snap["v"], snap["w"]
     yu = apply_right_inverse(model, x_s, u_s)
-    a = np.einsum("bnm,bm->bn", model.DX(x_s, v_s), yu)
-    direction = w_s - a
+    direction = w_s - apply_dx(model, x_s, v_s, yu)
     if not np.any(direction):
         return np.zeros(B), np.ones(B, dtype=bool)
     K_in = grid.n_steps - k_s

@@ -65,6 +65,11 @@ class DiffusionModel:
     when omitted it is computed pointwise from X.  ``hess_h`` is the
     covariant derivative of the drift vector field for h-Brownian systems
     (zero when h is constant), used by the Hessian flow.
+
+    Each noise coefficient has a matrix form (``X``, ``DX``, ``D2X``, ``Y``) and an
+    application to a vector (``apply_*``), which the step loops prefer.  Built-in
+    models declare the applications and derive the matrices; a custom model gives
+    the matrices, and each missing application falls back to contracting one.
     """
 
     n: int
@@ -86,7 +91,6 @@ class DiffusionModel:
     blow_up_radius: float = 1e8
     fd_derivatives: bool = False
     domain: tuple = (-2.0, 2.0)         # per-coordinate sampling box (flat models)
-    # optional fused applications, avoiding per-step matrix construction:
     apply_X: Optional[Callable] = None   # (x, e) -> X(x) e
     apply_DX: Optional[Callable] = None  # (x, v, e) -> DX(x)(v) e
     apply_D2X: Optional[Callable] = None  # (x, u, v, e) -> D2X(x)(u, v) e
@@ -217,6 +221,8 @@ def make_flat_model(n, m, X, Z=None, *, A=None, DX=None, D2X=None, DZ=None,
                     D2Z=None, Y=None, DY=None, hess_h=None,
                     h_brownian=False, domain=(-2.0, 2.0), kind="flat") -> DiffusionModel:
     """Assemble a flat-space model from batched coefficient callbacks."""
+    if Y is None:
+        Y = lambda x: _gram_right_inverse(X(x))
     model = DiffusionModel(n=n, m=m, X=X, A=A, Z=Z, DX=DX, D2X=D2X, DZ=DZ,
                            D2Z=D2Z, Y=Y, DY=DY, hess_h=hess_h, kind=kind,
                            h_brownian=h_brownian, domain=domain)
@@ -224,48 +230,47 @@ def make_flat_model(n, m, X, Z=None, *, A=None, DX=None, D2X=None, DZ=None,
     Xm = np.asarray(model.X(probe))
     if Xm.shape != (1, n, m):
         raise DimensionMismatch(f"X returns shape {Xm.shape}, expected (1, {n}, {m})")
-    if model.Y is None:
-        model.Y = lambda x: _gram_right_inverse(model.X(x))
     return model
 
 
-def _const_matrix_field(mat):
-    mat = np.asarray(mat, dtype=float)
+def _from_applications(n, m, *, X, DX, D2X, Y) -> dict:
+    """DiffusionModel keyword arguments for noise coefficients given as applications.
 
-    def fn(x):
-        return np.broadcast_to(mat, x.shape[:-1] + mat.shape)
+    Column j of each derived matrix is the application at basis vector e_j of
+    R^m (of R^n for Y), broadcast to the batch: a constant may return a scalar.
+    """
+    def matrix(apply, rows, cols):
+        def field(x, *directions):
+            shape = x.shape[:-1] + (rows,)
+            return np.stack([np.broadcast_to(apply(x, *directions, e), shape)
+                             for e in np.eye(cols)], axis=-1)
+        return field
 
-    return fn
+    return dict(X=matrix(X, n, m), DX=matrix(DX, n, m), D2X=matrix(D2X, n, m),
+                Y=matrix(Y, m, n), apply_X=X, apply_DX=DX, apply_D2X=D2X, apply_Y=Y)
 
 
 def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
     """Standard Brownian motion dx = sigma dB on R^n (h-Brownian with h = 0)."""
-    eye = sigma * np.eye(n)
-    inv = np.eye(n) / sigma
-    model = make_flat_model(
-        n, n,
-        X=_const_matrix_field(eye),
+    if not (np.isfinite(sigma) and sigma != 0):
+        raise Degenerate(f"Brownian motion needs a finite nonzero sigma, got {sigma!r}")
+    if sigma == 1.0:
+        X, Y = (lambda x, e: e), (lambda x, w: w)
+    else:
+        X, Y = (lambda x, e: sigma * e), (lambda x, w: w / sigma)
+    return DiffusionModel(
+        n=n, m=n,
         Z=lambda x: np.zeros_like(x),
-        DX=lambda x, v: np.zeros(x.shape + (n,)),
-        D2X=lambda x, u, v: np.zeros(x.shape + (n,)),
         DZ=lambda x, v: np.zeros_like(v),
         D2Z=lambda x, u, v: np.zeros_like(u),
-        Y=_const_matrix_field(inv),
         DY=lambda x, u, v: np.zeros_like(u),
         hess_h=lambda x, w: np.zeros_like(w),
-        h_brownian=True,
         kind="bm",
+        h_brownian=True,
         domain=(-3.0, 3.0),
+        **_from_applications(n, n, X=X, DX=lambda x, v, e: 0.0,
+                             D2X=lambda x, u, v, e: 0.0, Y=Y),
     )
-    if sigma == 1.0:
-        model.apply_X = lambda x, e: e
-        model.apply_Y = lambda x, v: v
-    else:
-        model.apply_X = lambda x, e: sigma * e
-        model.apply_Y = lambda x, v: v / sigma
-    model.apply_DX = lambda x, v, e: 0.0
-    model.apply_D2X = lambda x, u, v, e: 0.0
-    return model
 
 
 def make_ou_model(rate=1.0) -> DiffusionModel:
@@ -334,52 +339,33 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
     if n < 2:
         raise DimensionMismatch("sphere models need ambient dimension n >= 2")
     c = 0.5 * (n - 1)
+    dot = make_dot(n)
 
-    def X(x):
-        eye = np.broadcast_to(np.eye(n), x.shape[:-1] + (n, n))
-        return eye - x[..., :, None] * x[..., None, :]
+    def project(x, e):
+        return e - dot(x, e)[..., None] * x
 
-    def DX(x, v):
-        return -(v[..., :, None] * x[..., None, :] + x[..., :, None] * v[..., None, :])
-
-    def D2X(x, u, v):
-        return -(v[..., :, None] * u[..., None, :] + u[..., :, None] * v[..., None, :])
-
-    model = DiffusionModel(
+    return DiffusionModel(
         n=n, m=n,
-        X=X,
         A=lambda x: np.zeros_like(x),
         Z=lambda x: -c * x,
-        DX=DX,
-        D2X=D2X,
         DZ=lambda x, v: -c * v,
         D2Z=lambda x, u, v: np.zeros_like(u),
-        Y=X,  # projection is self-adjoint idempotent, so Y = X^T = X
         hess_h=lambda x, w: np.zeros_like(w),
         geometry=_sphere_geometry(n),
         kind="gradient_sphere" if n > 2 else "circle",
         gradient_system=True,
         h_brownian=True,
+        # the projection is self-adjoint and idempotent, so Y = X^T = X
+        **_from_applications(
+            n, n, X=project,
+            DX=lambda x, v, e: -v * dot(x, e)[..., None] - x * dot(v, e)[..., None],
+            D2X=lambda x, u, v, e: -u * dot(v, e)[..., None] - v * dot(u, e)[..., None],
+            Y=project),
     )
-
-    dot = make_dot(n)
-
-    model.apply_X = lambda x, e: e - dot(x, e)[..., None] * x
-    model.apply_Y = model.apply_X
-    model.apply_DX = lambda x, v, e: -v * dot(x, e)[..., None] - x * dot(v, e)[..., None]
-    model.apply_D2X = lambda x, u, v, e: -u * dot(v, e)[..., None] - v * dot(u, e)[..., None]
-    return model
 
 
 # ---------------------------------------------------------------------------
 # SO(3) left-invariant model
-
-
-SO3_BASIS = np.array([
-    [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
-    [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-    [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-])
 
 
 def skew_from_axis(w):
@@ -474,50 +460,6 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
         raise DimensionMismatch("noise_scale must be positive")
     s = float(noise_scale)
 
-    def X(g):
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        cols = s * np.einsum("...ij,ajk->...aik", G, SO3_BASIS)
-        cols = cols.reshape(g.shape[:-1] + (3, 9))
-        return np.swapaxes(cols, -1, -2)
-
-    def DX(g, v):
-        return X(v)
-
-    def Z(g):
-        return -(s * s) * g
-
-    def DZ(g, v):
-        return -(s * s) * v
-
-    def Y(g):
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        rows = np.einsum("...ij,ajk->...aik", G, SO3_BASIS) / (2.0 * s)
-        return rows.reshape(g.shape[:-1] + (3, 9))
-
-    def step(g, dW, dt):
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        out = G @ rotation_exp(s * dW)
-        return out.reshape(g.shape)
-
-    geometry = _so3_geometry(s)
-    geometry.step = step
-    model = LieGroupModel(
-        n=9, m=3,
-        X=X,
-        A=lambda g: np.zeros_like(g),
-        Z=Z,
-        DX=DX,
-        D2X=lambda g, u, v: np.zeros(g.shape[:-1] + (9, 3)),
-        DZ=DZ,
-        D2Z=lambda g, u, v: np.zeros_like(u),
-        Y=Y,
-        hess_h=lambda g, w: np.zeros_like(w),
-        geometry=geometry,
-        kind="lie_group",
-        h_brownian=True,
-        group_dim=3, mat_dim=3, noise_scale=s,
-    )
-
     def apply_X(g, e):
         G = g.reshape(g.shape[:-1] + (3, 3))
         return s * (G @ skew_from_axis(e)).reshape(g.shape)
@@ -528,11 +470,28 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
         M = np.einsum("...ji,...jk->...ik", G, W)
         return axis_from_skew(0.5 * (M - np.swapaxes(M, -1, -2))) / s
 
-    model.apply_X = apply_X
-    model.apply_DX = lambda g, v, e: apply_X(v, e)
-    model.apply_D2X = lambda g, u, v, e: 0.0
-    model.apply_Y = apply_Y
-    return model
+    def step(g, dW, dt):
+        G = g.reshape(g.shape[:-1] + (3, 3))
+        out = G @ rotation_exp(s * dW)
+        return out.reshape(g.shape)
+
+    geometry = _so3_geometry(s)
+    geometry.step = step
+    return LieGroupModel(
+        n=9, m=3,
+        A=lambda g: np.zeros_like(g),
+        Z=lambda g: -(s * s) * g,
+        DZ=lambda g, v: -(s * s) * v,
+        D2Z=lambda g, u, v: np.zeros_like(u),
+        hess_h=lambda g, w: np.zeros_like(w),
+        geometry=geometry,
+        kind="lie_group",
+        h_brownian=True,
+        group_dim=3, mat_dim=3, noise_scale=s,
+        # the frame is linear in g, so DX(g)(v) = X(v)
+        **_from_applications(9, 3, X=apply_X, DX=lambda g, v, e: apply_X(v, e),
+                             D2X=lambda g, u, v, e: 0.0, Y=apply_Y),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 
 import semigrad as sg
 from semigrad import ConditionalBinSpec, PotentialField, TimeGrid
-from semigrad.errors import (AllPathsBlewUp, EmptyBin, InvalidConfig,
-                             MissingDerivative, NotLieGroup,
+from semigrad.errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
+                             InvalidConfig, MissingDerivative, NotLieGroup,
                              UnboundedPotential)
 from semigrad.models import TimeDependentCoefficients, skew_from_axis
 from semigrad.paths import noise_block, simulate, weight
@@ -458,6 +458,15 @@ class TestResultContract:
             with pytest.raises(InvalidConfig, match="seed"):
                 sg.bel_gradient(bm1, sin_obs(), TimeGrid(1.0, 10), [0.0], [1.0], n_paths=10,
                                 seed=seed)
+
+    @pytest.mark.parametrize("name", ["semigroup_value", "bel_gradient"])
+    def test_column_per_path_shape_enforced(self, bm1, name):
+        # np.sin keeps (B, 1); times the (B,) weight it used to broadcast to (B, B), so
+        # bel_gradient read 1.5e-05 against e^(-1/2) and counted 4096**2 paths
+        estimator = getattr(sg, name)
+        args = ([0.0], [1.0]) if name == "bel_gradient" else ([0.0],)
+        with pytest.raises(DimensionMismatch, match="column"):
+            estimator(bm1, np.sin, TimeGrid(1.0, 10), *args, n_paths=4096, seed=0)
 
     def test_rejected_paths_flagged(self):
         model = make_cubic_blowup_model()

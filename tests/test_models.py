@@ -102,6 +102,71 @@ class TestBuiltinIdentities:
             assert ok, f"DZ off by {err}"
 
 
+class TestNoiseCoefficients:
+    """Each built-in declares X, DX, D2X and Y once; the matrices must match the applications."""
+
+    MODELS = {"bm": lambda: sg.make_bm_model(2), "bm_sigma2": lambda: sg.make_bm_model(2, 2.0),
+              "ou": lambda: sg.make_ou_model(1.0), "circle": lambda: sg.make_gradient_sphere_model(2),
+              "sphere3": lambda: sg.make_gradient_sphere_model(3),
+              "so3": lambda: sg.make_so3_model(1.0), "so3_scaled": lambda: sg.make_so3_model(0.7)}
+
+    # the orthonormal basis E_a of so(3): E_a w = e_a x w
+    SO3_BASIS = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+                          [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                          [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]])
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_matrices_match_applications(self, name):
+        model = self.MODELS[name]()
+        x = sample_points(model, 32, seed=3)
+        u = sample_directions(model, x, seed=5)
+        v = sample_directions(model, x, seed=6)
+        w = sample_directions(model, x, seed=7)
+        e = np.random.default_rng(8).standard_normal((32, model.m))
+        mat = lambda M, a: np.einsum("bij,bj->bi", M, a)
+        pairs = [(mat(model.X(x), e), model.apply_X(x, e)),
+                 (mat(model.DX(x, v), e), model.apply_DX(x, v, e)),
+                 (mat(model.D2X(x, u, v), e), model.apply_D2X(x, u, v, e)),
+                 (mat(model.Y(x), w), model.apply_Y(x, w))]
+        for matrix, applied in pairs:
+            assert np.max(np.abs(matrix - applied)) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["circle", "sphere3"])
+    def test_sphere_X_is_tangent_projection(self, name):
+        model = self.MODELS[name]()
+        x = sample_points(model, 32, seed=3)
+        assert np.max(np.abs(model.X(x) - (np.eye(model.n) - x[:, :, None] * x[:, None, :]))) \
+            <= 1e-15
+
+    @pytest.mark.parametrize("name", ["so3", "so3_scaled"])
+    def test_so3_X_columns_are_left_translates(self, name):
+        model = self.MODELS[name]()
+        g = sample_points(model, 32, seed=3)
+        G = g.reshape(-1, 3, 3)
+        for a in range(3):
+            expected = model.noise_scale * (G @ self.SO3_BASIS[a]).reshape(-1, 9)
+            assert np.max(np.abs(model.X(g)[..., a] - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("sigma", [1.0, 2.0, -0.5])
+    def test_bm_X_and_Y_are_scaled_identities(self, sigma):
+        model = sg.make_bm_model(3, sigma)
+        x = sample_points(model, 8, seed=3)
+        assert np.array_equal(model.Y(x), np.broadcast_to(np.eye(3) / sigma, (8, 3, 3)))
+        assert np.array_equal(model.X(x), np.broadcast_to(sigma * np.eye(3), (8, 3, 3)))
+
+    @pytest.mark.parametrize("sigma", [0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_bm_rejects_degenerate_sigma(self, sigma):
+        # sigma = 0 used to give Y = I/0 and a NaN gradient; nan/inf raised AllPathsBlewUp
+        with pytest.raises(Degenerate, match="sigma"):
+            sg.make_bm_model(1, sigma)
+
+    def test_bm_negative_sigma_is_valid(self):
+        # dx = -dB is Brownian motion too: d/dx E sin(x + sigma B_1) at 0 is e^(-1/2)
+        r = sg.bel_gradient(sg.make_bm_model(1, -1.0), lambda x: np.sin(x[..., 0]),
+                            sg.TimeGrid(1.0, 10), [0.0], [1.0], n_paths=8192, seed=2)
+        assert abs(r.mean - np.exp(-0.5)) < 3 * r.std_error
+
+
 class TestSphereModels:
     def test_circle_projection_at_east_point(self, circle):
         Xm = circle.X(np.array([[1.0, 0.0]]))[0]
