@@ -21,7 +21,7 @@ from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
 from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import (apply_right_inverse, as_observable, make_dot,
                      sample_directions, sample_points)
-from .paths import TimeGrid, noise_block, simulate, weight
+from .paths import NoiseStream, TimeGrid, noise_block, simulate, weight
 from .variation import _as_vector, covariant_drift_deriv
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
@@ -347,7 +347,7 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
             np.maximum(scale, np.linalg.norm(x, axis=-1), out=scale)
 
         x, alive, _, (line,) = simulate(model, grid, x0,
-                                        noise_block(grid, seed, lo, hi, model.m),
+                                        NoiseStream(grid, seed, lo, hi, model.m),
                                         sums=[line_integral], hook=track_scale)
         resid = np.abs(line - (f(x) - f0))
         return resid, 1.0 + scale, alive
@@ -375,7 +375,7 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
                 res = np.linalg.norm(model.geometry.constraint(x), axis=-1)
                 worst = max(worst, float(np.max(res[alive])))
 
-        simulate(model, grid, x0, noise_block(grid, seed, lo, hi, model.m), hook=track)
+        simulate(model, grid, x0, NoiseStream(grid, seed, lo, hi, model.m), hook=track)
         return worst
 
     return max(_map_paths(model, grid, n_paths, block, threads))

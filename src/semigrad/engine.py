@@ -33,6 +33,8 @@ def _call_fork_fn(bounds):
 def default_block_size(n_steps: int, m: int) -> int:
     """Block size targeting a fixed noise-buffer footprint.
 
+    The budget bounds only the callers that materialize a block's noise with
+    ``paths.noise_block``; estimator blocks stream theirs a few steps at a time.
     A pure function of (n_steps, m): the block partition is part of the
     deterministic reduction tree, so it must not depend on the machine.
     """

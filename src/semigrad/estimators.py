@@ -1,6 +1,6 @@
 """Monte Carlo estimators for semigroup derivatives.
 
-Every estimator follows the same per-path recipe: generate counter-based
+Every estimator follows the same per-path recipe: generate keyed
 noise, integrate the SDE, co-evolve whichever variation flows the formula
 needs, accumulate a stochastic-integral weight with left-endpoint (Ito)
 evaluation on the same increments as the trajectory, and average the
@@ -23,7 +23,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
-from .paths import TimeGrid, _philox, noise_block, simulate, weight
+from .paths import NoiseStream, TimeGrid, _keyed, noise_block, simulate, weight
 from .variation import (_as_vector, apply_dx, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
@@ -122,7 +122,7 @@ def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=Non
 
     def block(lo, hi):
         x, alive, vs, sums = simulate(model, grid, x0,
-                                      noise_block(grid, seed, lo, hi, model.m), **spec)
+                                      NoiseStream(grid, seed, lo, hi, model.m), **spec)
         columns = endpoint(x, vs, sums)
         return columns if isinstance(columns, tuple) else (columns,), alive
 
@@ -228,7 +228,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         dWs = noise_block(grid, seed, lo, hi, model.m)
         k_s = -1
         if variant == "nested":
-            k_s = int(_philox(seed, _AUX_STREAM, lo).integers(0, K2))
+            k_s = int(_keyed(seed, _AUX_STREAM, lo).integers(0, K2))
         snap = {}
 
         def snapshot(k, x, vs, alive):  # the nested variant's state at k_s
@@ -274,7 +274,7 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     fsum = np.zeros(B)
     nsum = np.zeros(B)
     for j in range(1, n_inner + 1):
-        dWs = noise_block(grid_in, seed, lo, hi, model.m, stream=j)
+        dWs = NoiseStream(grid_in, seed, lo, hi, model.m, stream=j)
         x, alive, _, (wsum,) = simulate(model, grid_in, x_s, dWs, snap["alive"],
                                         vs=(direction,), sums=[weight(model, 0)])
         val = f(x) * wsum / t_in

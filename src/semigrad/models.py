@@ -456,8 +456,8 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
     i-th noise coordinate to noise_scale * g E_i and integration applies the
     exact group exponential, so trajectories stay on SO(3) to rounding.
     """
-    if not noise_scale > 0:
-        raise DimensionMismatch("noise_scale must be positive")
+    if not (np.isfinite(noise_scale) and noise_scale > 0):
+        raise Degenerate(f"SO(3) noise needs a finite positive noise_scale, got {noise_scale!r}")
     s = float(noise_scale)
 
     def apply_X(g, e):

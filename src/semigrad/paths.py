@@ -1,8 +1,11 @@
 """Driving noise and the path-stepping kernel on a fixed time grid.
 
-Noise is counter-based: Philox keyed by ``(seed, stream, 256-path tile)``;
-the rows of a tile are consecutive draws from its stream, so every path is
+Noise is keyed: each 256-path tile is one SFC64 generator seeded by
+``SeedSequence([seed, stream, tile])`` that draws step-major, so every path is
 reproducible from its index alone and distinct tiles use independent streams.
+Estimator blocks read it as a ``NoiseStream``, a few steps at a time from one
+small reused buffer; ``noise_block`` is the same draw materialized for callers
+that read the noise out of order or twice.
 ``simulate`` is the one SDE time loop of the package: Euler-Maruyama in the
 ambient space, with a retraction or group step for manifold-constrained
 models, co-evolving the direction fields and gradient weights every
@@ -22,7 +25,8 @@ from .errors import BlownUpPath, DimensionMismatch, InvalidConfig, MissingDeriva
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
-_TILE = 256  # paths per Philox stream
+_TILE = 256  # paths per keyed generator
+_CHUNK_BYTES = 4 * 2 ** 20  # a NoiseStream's reused buffer
 
 
 @dataclass(frozen=True)
@@ -61,49 +65,82 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
     """The (n_steps, m) Brownian increments of one path, each N(0, dt I).
 
     Deterministic in (seed, path_index): a row of the path's 256-path tile,
-    so it draws the rows of its tile before it.  The increments are row 0 of
-    ``noise_block``.
+    so it draws the whole tile.  The increments are row 0 of ``noise_block``.
     """
     return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
-def _philox(seed: int, stream: int, index: int) -> np.random.Generator:
-    """A fresh Philox stream keyed by seed, counting from (stream, index)."""
-    return np.random.Generator(np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([0, 0, stream, index], dtype=np.uint64)))
+def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
+    """A fresh SFC64 generator keyed by (seed, stream, index)."""
+    key = [operator.index(seed), operator.index(stream), operator.index(index)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+
+
+class NoiseStream:
+    """Increments for paths lo..hi-1, handed to ``simulate`` a chunk of steps at a time.
+
+    Reads as a (hi-lo, n_steps, m) array that gives only ``noise[:, k]``,
+    the contiguous (hi-lo, m) increments of step k, for k = 0, 1, 2, ... in
+    order; any other access raises ``IndexError``.  Each 256-path tile is one
+    SFC64 generator keyed by (seed, stream, tile) that draws step-major:
+    step k's (256, m) increments are its draws [k 256 m, (k+1) 256 m).  A
+    tile the block only overlaps still draws all 256 rows at every step, so
+    row i depends only on (seed, lo + i, stream), never on the block bounds.
+    The steps are drawn into one reused buffer of about ``_CHUNK_BYTES``.
+    """
+
+    def __init__(self, grid: TimeGrid, seed: int, lo: int, hi: int, m: int, stream: int = 0):
+        if m < 1:
+            raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
+        for name, key in (("seed", seed), ("stream", stream)):
+            if not (hasattr(key, "__index__") and 0 <= operator.index(key) <= _UINT64_MASK):
+                raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {key!r}")
+        if not 0 <= lo <= hi <= 1 << 64:
+            raise InvalidConfig(
+                f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
+        K = grid.n_steps
+        self.shape = (hi - lo, K, m)
+        self._sqrt_dt = np.sqrt(grid.dt)
+        self._tiles = []  # (generator, its rows in the block, where they land)
+        for tile in range(lo // _TILE, -(-hi // _TILE)):
+            first, stop = max(lo, tile * _TILE), min(hi, (tile + 1) * _TILE)
+            self._tiles.append((_keyed(seed, stream, tile),
+                                slice(first - tile * _TILE, stop - tile * _TILE),
+                                slice(first - lo, stop - lo)))
+        step_bytes = max(1, (hi - lo) * m * 8)
+        self._buf = np.empty((min(K, max(1, _CHUNK_BYTES // step_bytes)), hi - lo, m))
+        self._next = 0  # the only step a read may ask for
+        self._start = self._stop = 0  # the steps the buffer holds
+
+    def _draw(self, out: np.ndarray):
+        """The next len(out) steps of every tile, scaled by sqrt(dt), into out (c, hi-lo, m)."""
+        scratch = np.empty((len(out), _TILE, self.shape[2]))
+        for gen, rows, dest in self._tiles:
+            gen.standard_normal(out=scratch)
+            np.multiply(scratch[:, rows], self._sqrt_dt, out=out[:, dest])
+
+    def __getitem__(self, key):
+        k = self._next
+        if key != (slice(None), k) or k >= self.shape[1]:
+            raise IndexError(f"a noise stream reads noise[:, {k}] next, not {key!r}")
+        if k == self._stop:
+            self._start, self._stop = k, min(k + len(self._buf), self.shape[1])
+            self._draw(self._buf[:self._stop - k])
+        self._next = k + 1
+        return self._buf[k - self._start]
 
 
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
-    """Increments for paths lo..hi-1 as a (hi-lo, n_steps, m) view.
+    """Increments for paths lo..hi-1 as a (hi-lo, n_steps, m) view: a ``NoiseStream`` materialized.
 
-    Philox keyed by (seed, stream, 256-path tile); the rows of a tile are
-    consecutive draws from its stream.  Row i depends only on
-    (seed, lo + i, stream), never on the block bounds: a block that starts
-    inside a tile draws the tile's earlier rows and discards them.
-    Each tile is drawn into one reused (<= 256, n_steps, m) scratch, scaled by
-    sqrt(dt) there and copied into a step-major (n_steps, hi-lo, m) buffer;
-    the result is that buffer's transposed view, so each step's ``[:, k]``
-    is contiguous.
+    The whole stream is drawn as one chunk of n_steps into a step-major
+    (n_steps, hi-lo, m) buffer; the result is that buffer's transposed view,
+    so each step's ``[:, k]`` is contiguous and equals the stream's.
     """
-    if m < 1:
-        raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-    for name, key in (("seed", seed), ("stream", stream)):  # Philox key and counter words
-        if not (hasattr(key, "__index__") and 0 <= operator.index(key) <= _UINT64_MASK):
-            raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {key!r}")
-    if not 0 <= lo <= hi <= 1 << 64:
-        raise InvalidConfig(f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
+    noise = NoiseStream(grid, seed, lo, hi, m, stream)
     out = np.empty((grid.n_steps, hi - lo, m))
-    rows = np.empty((min(_TILE, hi - lo), grid.n_steps, m))
-    for tile in range(lo // _TILE, -(-hi // _TILE)):
-        first, stop = max(lo, tile * _TILE), min(hi, (tile + 1) * _TILE)
-        gen = _philox(seed, stream, tile)
-        gen.standard_normal((first - tile * _TILE, grid.n_steps, m))  # discard rows before lo
-        tile_rows = rows[:stop - first]
-        gen.standard_normal(out=tile_rows)
-        tile_rows *= np.sqrt(grid.dt)  # in the cached tile: a plain transposing copy beats a ufunc
-        out[:, first - lo:stop - lo] = tile_rows.transpose(1, 0, 2)
+    noise._draw(out)
     return out.transpose(1, 0, 2)
 
 
@@ -156,8 +193,9 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
              flow=None, sums=(), hook=None, step=None):
     """Step a block of paths through the increments dWs: (B, K, m), any strides.
 
-    The step-major view ``noise_block`` returns is the fast layout: each
-    step's ``dWs[:, k]`` is contiguous.
+    Reads only ``dWs.shape`` and ``dWs[:, k]`` for k = 0, 1, 2, ... in order,
+    so dWs may be a ``NoiseStream``, which never holds the whole block, or
+    the step-major view ``noise_block`` returns.
 
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
     Each callback has one job; step k works at the left endpoint x_k:

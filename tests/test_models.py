@@ -276,8 +276,10 @@ class TestSO3Model:
         assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
 
     def test_invalid_scale(self):
-        with pytest.raises(DimensionMismatch):
-            sg.make_so3_model(0.0)
+        # inf used to pass `not scale > 0`, so every estimator raised AllPathsBlewUp
+        for scale in (0, 0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(Degenerate, match="noise_scale"):
+                sg.make_so3_model(scale)
 
 
 class TestSupport:

@@ -1,6 +1,8 @@
 import ast
 import glob
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,7 +111,7 @@ class TestNoise:
 
 
 class TestNoiseContract:
-    """Philox keyed by (seed, stream, 256-path tile): rows never depend on the block bounds."""
+    """SFC64 keyed by (seed, stream, 256-path tile): rows never depend on the block bounds."""
 
     GRID = TimeGrid(1.0, 3)
 
@@ -140,15 +142,76 @@ class TestNoiseContract:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("stream", [0, 7])
     def test_step_major_layout(self, lo, hi, m, stream):
-        # every step's increments are contiguous; the values are the
-        # path-major tile draws, scaled by sqrt(dt)
+        # every step's increments are contiguous; the values are the keyed SFC64
+        # tile draws, step-major (step k is draws [k 256 m, (k+1) 256 m)), scaled by sqrt(dt)
         block = noise_block(self.GRID, 5, lo, hi, m, stream)
         assert all(block[:, k].flags.c_contiguous for k in range(self.GRID.n_steps))
         tiles = range(lo // 256, -(-hi // 256))
-        drawn = np.concatenate([paths._philox(5, stream, tile).standard_normal(
-            (256, self.GRID.n_steps, m)) for tile in tiles]) * np.sqrt(self.GRID.dt)
+        drawn = np.concatenate([np.random.Generator(np.random.SFC64(
+            np.random.SeedSequence([5, stream, tile]))).standard_normal(
+            (self.GRID.n_steps, 256, m)) for tile in tiles], axis=1) * np.sqrt(self.GRID.dt)
         start = lo - tiles[0] * 256
-        assert np.array_equal(block, drawn[start:start + hi - lo])
+        assert np.array_equal(block, drawn[:, start:start + hi - lo].transpose(1, 0, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 700), m=st.integers(1, 3),
+           stream=st.one_of(st.just(0), st.integers(1, 2 ** 32)),
+           cuts=st.lists(st.one_of(st.integers(0, 699), st.sampled_from([256, 512])),
+                         max_size=4),
+           chunk=st.sampled_from([1, 3, 10]))
+    def test_stream_matches_noise_block(self, n, m, stream, cuts, chunk):
+        # read step by step in chunks of 1, 3 or all 10 steps, every block of any
+        # partition streams noise_block's rows
+        grid = TimeGrid(1.0, 10)
+        bounds = sorted({0, n} | {c for c in cuts if c < n})
+        whole = noise_block(grid, 5, 0, n, m, stream)
+        for lo, hi in zip(bounds, bounds[1:]):
+            with mock.patch.object(paths, "_CHUNK_BYTES", chunk * (hi - lo) * m * 8):
+                noise = paths.NoiseStream(grid, 5, lo, hi, m, stream)
+            assert noise.shape == (hi - lo, 10, m) and len(noise._buf) == chunk
+            for k in range(10):
+                assert np.array_equal(noise[:, k], whole[lo:hi, k])
+
+    def test_stream_reads_in_order_only(self):
+        noise = paths.NoiseStream(self.GRID, 5, 0, 8, 1)
+        noise[:, 0]
+        for key in [(slice(None), 0), (slice(None), 2), 1, (slice(0, 4), 1), (0, 1)]:
+            with pytest.raises(IndexError):
+                noise[key]
+        noise[:, 1]
+        noise[:, 2]
+        with pytest.raises(IndexError):
+            noise[:, 3]  # past the last step
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("call", ["semigroup_value", "exact_form_residuals",
+                                      "constraint_violation"])
+    def test_streaming_callers_check_the_seed(self, seed, call):
+        # a stream runs noise_block's checks, so no seed reaches the generator unchecked
+        sc = sg.get_scenario("sphere3")
+        model, f, grid = sc.make(), sc.observables["sin"], TimeGrid(1.0, 4)
+        calls = {
+            "semigroup_value": lambda: estimators.semigroup_value(
+                model, f, grid, sc.x0, n_paths=8, seed=seed),
+            "exact_form_residuals": lambda: diagnostics.exact_form_residuals(
+                model, f, lambda x: x[..., 2], grid, sc.x0, n_paths=8, seed=seed),
+            "constraint_violation": lambda: diagnostics.constraint_violation(
+                model, grid, sc.x0, n_paths=8, seed=seed),
+        }
+        with pytest.raises(InvalidConfig, match="seed"):
+            calls[call]()
+
+    def test_stream_holds_no_block_of_noise(self):
+        # 4096 paths x 1000 steps of noise are 32.8 MB; the stream keeps a few MB
+        sc = sg.get_scenario("bm1d")
+        tracemalloc.start()
+        try:
+            estimators.bel_gradient(sc.make(), sc.observables["sin"], TimeGrid(1.0, 1000),
+                                    [0.0], [1.0], n_paths=4096, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 1000 * 8 / 4
 
     def test_default_blocks_hold_whole_tiles(self):
         # estimator blocks start on a tile boundary, so they never draw rows they discard
@@ -376,7 +439,7 @@ class TestGroupStep:
             model, f, lambda x: 2.0 * f(x), TimeGrid(1.0, 20), g0,
             n_paths=512, seed=11, threads=1)
         assert [float.hex(float(np.sum(resid))), float.hex(float(np.sum(scales)))] == [
-            "0x1.2919301668392p+6", "0x1.5db3d742c2655p+10"]
+            "0x1.271fb19e79cbcp+6", "0x1.5db3d742c2655p+10"]
 
     def test_hessian_correction_reads_x_dW(self):
         # the correction sum gets X(x) dW, so the missing second-variation
