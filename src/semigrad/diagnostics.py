@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import (InvalidConfig, MissingDerivative, MissingGeometry, UnsupportedModel,
                      ZeroDirection)
-from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar,
+from .estimators import (EstimatorResult, _count, _estimate, _map_paths, _mc_scalar,
                          bel_gradient, semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import (apply_right_inverse, as_observable, make_dot,
                      sample_directions, sample_points)
-from .paths import NoiseStream, TimeGrid, noise_block, simulate, weight
+from .paths import NoiseStream, TimeGrid, simulate, weight
 from .variation import _as_vector, covariant_drift_deriv
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
@@ -113,7 +113,7 @@ def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
 
 def hp_report(model, p, form="rn_ito", *, n_samples=256, seed=0) -> HpReport:
     """Sample H_p over a quasi-random point cloud and report the supremum."""
-    points = sample_points(model, n_samples, seed)
+    points = sample_points(model, _count("n_samples", n_samples), seed)
     dirs = sample_directions(model, points, seed + 1)
     report = HpReport(p=p, form_used=form)
     for x, v in zip(points, dirs):
@@ -193,8 +193,10 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
                              n_paths, seed=0, threads=None) -> EstimatorResult:
     """Central difference of the semigroup value with common random numbers.
 
-    Both perturbed starts reuse identical noise per path; manifold models
-    perturb along the geodesic through x0 with velocity v0.
+    Both perturbed starts reuse identical noise per path: a block steps its
+    B paths from x+ and from x- as 2B stacked rows through one stream, each
+    step's increments repeated for both halves.  Manifold models perturb
+    along the geodesic through x0 with velocity v0.
     """
     f = as_observable(f)
     if delta == 0 or not np.isfinite(delta):
@@ -211,15 +213,28 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
         x_minus = x0 - delta * v0
 
     def block(lo, hi):
-        dWs = noise_block(grid, seed, lo, hi, model.m)
-        xp, alive_p, _, _ = simulate(model, grid, x_plus, dWs)
-        xm, alive_m, _, _ = simulate(model, grid, x_minus, dWs)
-        values = (f(xp) - f(xm)) / (2.0 * delta)
-        return (values,), alive_p & alive_m
+        B = hi - lo
+        x, alive, _, _ = simulate(model, grid, np.repeat([x_plus, x_minus], B, axis=0),
+                                  _Twice(NoiseStream(grid, seed, lo, hi, model.m)))
+        values = (f(x[:B]) - f(x[B:])) / (2.0 * delta)
+        return (values,), alive[:B] & alive[B:]
 
     meta = {"delta": delta}
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
                       metadata=meta)
+
+
+class _Twice:
+    """A (2B, K, m) noise whose step k is ``noise[:, k]`` for both halves of 2B rows."""
+
+    def __init__(self, noise):
+        B, K, m = noise.shape
+        self.shape = (2 * B, K, m)
+        self._noise = noise
+
+    def __getitem__(self, key):
+        dW = self._noise[key]
+        return np.concatenate([dW, dW])
 
 
 def _exp_integral(alpha, t):
@@ -273,6 +288,7 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
         raise UnsupportedModel("Sobolev check needs a compact built-in manifold")
     if not (p == np.inf or p >= 2):
         raise UnsupportedModel("Sobolev check supports p >= 2 or p = inf")
+    n_grid = _count("n_grid", n_grid)
     if model.kind == "circle":
         angles = np.arange(n_grid) * (2 * np.pi / n_grid)
         points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)

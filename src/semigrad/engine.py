@@ -20,6 +20,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig
 
 DEFAULT_BLOCK_SIZE = 2048
+# The block partition's budget: what a block's (K, B, m) noise would hold if it
+# were materialized.  No block holds it any more, but the partition fixes the
+# reduction tree, so changing this moves the bits of every mean.
 _NOISE_BLOCK_BYTES = 256 * 2 ** 20
 
 _FORK_FN = None
@@ -31,12 +34,13 @@ def _call_fork_fn(bounds):
 
 
 def default_block_size(n_steps: int, m: int) -> int:
-    """Block size targeting a fixed noise-buffer footprint.
+    """Block size for paths of n_steps x m noise: 256 up to 16384, doubled within a budget.
 
-    The budget bounds only the callers that materialize a block's noise with
-    ``paths.noise_block``; estimator blocks stream theirs a few steps at a time.
-    A pure function of (n_steps, m): the block partition is part of the
-    deterministic reduction tree, so it must not depend on the machine.
+    Every estimator and diagnostic block streams its noise a few steps at a
+    time, so the ``_NOISE_BLOCK_BYTES`` budget no longer bounds any buffer;
+    it survives only as the partition rule.  A pure function of (n_steps, m):
+    the block partition is part of the deterministic reduction tree, so it
+    must not depend on the machine, and changing the rule moves bits.
     """
     budget = _NOISE_BLOCK_BYTES // max(1, n_steps * m * 8)
     size = 256

@@ -12,6 +12,7 @@ the worker count.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -23,7 +24,7 @@ from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
-from .paths import NoiseStream, TimeGrid, _keyed, noise_block, simulate, weight
+from .paths import NoiseStream, TimeGrid, _keyed, simulate, weight
 from .variation import (_as_vector, apply_dx, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
@@ -58,8 +59,8 @@ class ConditionalBinSpec:
     kernel: str = "box"  # box | gaussian
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InvalidConfig("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise InvalidConfig(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         if self.kernel not in ("box", "gaussian"):
             raise InvalidConfig(f"unknown kernel {self.kernel!r}")
 
@@ -93,11 +94,20 @@ def _result_from_sums(model, columns, n_rej, seed, grid, metadata=None) -> Estim
                            columns=tuple(columns))
 
 
+def _count(name, value) -> int:
+    """``value`` as an int >= 1, else ``InvalidConfig`` naming ``name``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
+    return n
+
+
 def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
     """block_fn(lo, hi) over the path partition every estimator shares."""
-    if n_paths < 1:
-        raise InvalidConfig(f"n_paths must be >= 1, got {n_paths}")
-    return engine.map_blocks(n_paths, block_fn, threads=threads,
+    return engine.map_blocks(_count("n_paths", n_paths), block_fn, threads=threads,
                              block_size=engine.default_block_size(grid.n_steps, model.m))
 
 
@@ -197,8 +207,8 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         raise MissingDerivative("bel_hessian(weights) on flat models needs DY")
     if variant == "nested" and manifold:
         raise UnsupportedModel("the nested Hessian variant is implemented for flat models")
-    if variant == "nested" and n_inner < 1:
-        raise InvalidConfig(f"n_inner must be >= 1, got {n_inner}")
+    if variant == "nested":
+        n_inner = _count("n_inner", n_inner)
     x0 = _as_vector(model, x0)
     u0 = _as_vector(model, u0)
     v0 = _as_vector(model, v0)
@@ -225,7 +235,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
     sums = [weight(model, 0)] + ([correction] if variant == "weights" else [])
 
     def block(lo, hi):
-        dWs = noise_block(grid, seed, lo, hi, model.m)
+        dWs = NoiseStream(grid, seed, lo, hi, model.m)
         k_s = -1
         if variant == "nested":
             k_s = int(_keyed(seed, _AUX_STREAM, lo).integers(0, K2))

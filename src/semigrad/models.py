@@ -396,10 +396,17 @@ def rotation_exp(w):
     b = np.where(small, 0.5 - theta ** 2 / 24.0, (1.0 - np.cos(th)) / th ** 2)
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
     ax, ay, az = a * x, a * y, a * z
-    R = np.stack([1.0 - b * (yy + zz), bxy - az, bxz + ay,
-                  bxy + az, 1.0 - b * (xx + zz), byz - ax,
-                  bxz - ay, byz + ax, 1.0 - b * (xx + yy)], axis=-1)
-    return R.reshape(theta.shape + (3, 3))
+    R = np.empty(theta.shape + (3, 3))  # entry by entry: one temporary live at a time
+    R[..., 0, 0] = 1.0 - b * (yy + zz)
+    R[..., 0, 1] = bxy - az
+    R[..., 0, 2] = bxz + ay
+    R[..., 1, 0] = bxy + az
+    R[..., 1, 1] = 1.0 - b * (xx + zz)
+    R[..., 1, 2] = byz - ax
+    R[..., 2, 0] = bxz - ay
+    R[..., 2, 1] = byz + ax
+    R[..., 2, 2] = 1.0 - b * (xx + yy)
+    return R
 
 
 def _so3_geometry(scale) -> ManifoldGeometry:

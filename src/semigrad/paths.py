@@ -3,9 +3,10 @@
 Noise is keyed: each 256-path tile is one SFC64 generator seeded by
 ``SeedSequence([seed, stream, tile])`` that draws step-major, so every path is
 reproducible from its index alone and distinct tiles use independent streams.
-Estimator blocks read it as a ``NoiseStream``, a few steps at a time from one
-small reused buffer; ``noise_block`` is the same draw materialized for callers
-that read the noise out of order or twice.
+Every estimator and diagnostic block reads it as a ``NoiseStream``, a few
+steps at a time from one small reused buffer; ``noise_block`` is the same draw
+materialized, kept for ``generate_noise``'s single paths and for checking the
+stream against.
 ``simulate`` is the one SDE time loop of the package: Euler-Maruyama in the
 ambient space, with a retraction or group step for manifold-constrained
 models, co-evolving the direction fields and gradient weights every
@@ -26,7 +27,8 @@ from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
 _TILE = 256  # paths per keyed generator
-_CHUNK_BYTES = 4 * 2 ** 20  # a NoiseStream's reused buffer
+# no smaller: freeing it lifts a fork worker's mmap threshold above so3's (B, 9) temporaries
+_CHUNK_BYTES = 2 * 2 ** 20  # a NoiseStream's reused buffer
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,14 @@ class NoiseStream:
 
     Reads as a (hi-lo, n_steps, m) array that gives only ``noise[:, k]``,
     the contiguous (hi-lo, m) increments of step k, for k = 0, 1, 2, ... in
-    order; any other access raises ``IndexError``.  Each 256-path tile is one
-    SFC64 generator keyed by (seed, stream, tile) that draws step-major:
-    step k's (256, m) increments are its draws [k 256 m, (k+1) 256 m).  A
-    tile the block only overlaps still draws all 256 rows at every step, so
-    row i depends only on (seed, lo + i, stream), never on the block bounds.
+    order; any other access raises ``IndexError``.  ``noise[:, a:b]`` is a
+    range read the same way, as ``[:, j]`` = ``noise[:, a + j]``, so two
+    ``simulate`` calls can share one stream across a split of the steps.
+    Each 256-path tile is one SFC64 generator keyed by (seed, stream, tile)
+    that draws step-major: step k's (256, m) increments are its draws
+    [k 256 m, (k+1) 256 m).  A tile the block only overlaps still draws all
+    256 rows at every step, so row i depends only on (seed, lo + i, stream),
+    never on the block bounds.
     The steps are drawn into one reused buffer of about ``_CHUNK_BYTES``.
     """
 
@@ -120,6 +125,8 @@ class NoiseStream:
             np.multiply(scratch[:, rows], self._sqrt_dt, out=out[:, dest])
 
     def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], slice):
+            return _StepRange(self, key)
         k = self._next
         if key != (slice(None), k) or k >= self.shape[1]:
             raise IndexError(f"a noise stream reads noise[:, {k}] next, not {key!r}")
@@ -130,13 +137,37 @@ class NoiseStream:
         return self._buf[k - self._start]
 
 
+class _StepRange:
+    """``stream[:, a:b]``: steps a..b-1 of a ``NoiseStream``, ``[:, j]`` being its step a + j.
+
+    Holds nothing of its own; the stream still checks that every step is
+    read once and in order, so the range's first read must be step a.
+    """
+
+    def __init__(self, stream: NoiseStream, key):
+        B, K, m = stream.shape
+        a, b, step = key[1].indices(K)
+        if key[0] != slice(None) or step != 1:
+            raise IndexError(f"a noise stream gives [:, a:b] ranges only, not {key!r}")
+        self._stream, self._a = stream, a
+        self.shape = (B, max(0, b - a), m)
+
+    def __getitem__(self, key):
+        j = self._stream._next - self._a
+        if key != (slice(None), j) or not 0 <= j < self.shape[1]:
+            raise IndexError(f"this range reads noise[:, {j}] next, not {key!r}")
+        return self._stream[key[0], self._a + j]
+
+
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
     """Increments for paths lo..hi-1 as a (hi-lo, n_steps, m) view: a ``NoiseStream`` materialized.
 
     The whole stream is drawn as one chunk of n_steps into a step-major
     (n_steps, hi-lo, m) buffer; the result is that buffer's transposed view,
-    so each step's ``[:, k]`` is contiguous and equals the stream's.
+    so each step's ``[:, k]`` is contiguous and equals the stream's.  It
+    holds n_steps x (hi-lo) x m floats, so no estimator block calls it; it
+    backs ``generate_noise`` and the tests that pin the stream's draws.
     """
     noise = NoiseStream(grid, seed, lo, hi, m, stream)
     out = np.empty((grid.n_steps, hi - lo, m))
@@ -194,8 +225,8 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     """Step a block of paths through the increments dWs: (B, K, m), any strides.
 
     Reads only ``dWs.shape`` and ``dWs[:, k]`` for k = 0, 1, 2, ... in order,
-    so dWs may be a ``NoiseStream``, which never holds the whole block, or
-    the step-major view ``noise_block`` returns.
+    so dWs may be a ``NoiseStream`` or a step range of one, which never hold
+    the whole block, or any array such as the view ``noise_block`` returns.
 
     Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
     Each callback has one job; step k works at the left endpoint x_k:

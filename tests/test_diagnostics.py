@@ -78,6 +78,11 @@ class TestEvaluateHp:
         with pytest.raises(ZeroDirection):
             evaluate_hp(bm1, 2.0, [0.0], [0.0])
 
+    def test_report_needs_samples(self, sphere):
+        # no sampled point would leave the supremum at -inf
+        with pytest.raises(InvalidConfig, match="n_samples"):
+            hp_report(sphere, 2.0, form="manifold", n_samples=0)
+
     def test_report_supremum(self, sphere):
         rep = hp_report(sphere, 2.0, form="manifold", n_samples=64, seed=0)
         assert len(rep.samples) == 64
@@ -244,6 +249,11 @@ class TestSobolevCheck:
                                  n_grid=8, n_paths=4000, seed=16)
         assert np.isfinite(rep.empirical)
         assert rep.passed
+
+    def test_grid_needs_points(self, circle):
+        obs = sg.get_scenario("circle").observables["sin"]
+        with pytest.raises(InvalidConfig, match="n_grid"):
+            sobolev_norm_check(circle, obs, GRID, p=2, n_grid=0, n_paths=100, seed=0)
 
     def test_flat_model_rejected(self, bm1):
         obs = sg.get_scenario("bm1d").observables["sin"]

@@ -164,6 +164,11 @@ class TestBelHessian:
             sg.bel_hessian(bm1, sin_obs(), TimeGrid(1.0, 20), [0.0], [1.0], [1.0],
                            variant="nested", n_inner=0, n_paths=256, seed=0)
 
+    def test_non_integer_inner_paths_rejected(self, bm1):
+        with pytest.raises(InvalidConfig, match="n_inner"):
+            sg.bel_hessian(bm1, sin_obs(), TimeGrid(1.0, 20), [0.0], [1.0], [1.0],
+                           variant="nested", n_inner=2.5, n_paths=256, seed=0)
+
     def test_odd_steps_rejected(self, bm1):
         with pytest.raises(InvalidConfig):
             sg.bel_hessian(bm1, sin_obs(), TimeGrid(1.0, 401), [0.0], [1.0], [1.0],
@@ -314,6 +319,12 @@ class TestScoreGradient:
         with pytest.raises(EmptyBin):
             sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=31)
 
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, np.nan])
+    def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        # an infinite bandwidth would put every path in the bin
+        with pytest.raises(InvalidConfig, match="bandwidth"):
+            ConditionalBinSpec(target=np.array([1.0]), bandwidth=bandwidth)
+
     def test_metadata_matches_other_estimators(self):
         # blow-up accounting and the finite-difference warning are shared
         from semigrad.models import make_flat_model, with_fd_derivatives
@@ -415,7 +426,8 @@ class TestResultContract:
         assert a.mean == b.mean
 
     @pytest.mark.parametrize("name", ["score_gradient", "martingale_mean_check",
-                                      "bel_hessian_nested", "finite_difference_oracle"])
+                                      "bel_hessian_weights", "bel_hessian_nested",
+                                      "finite_difference_oracle"])
     def test_multi_column_worker_count_invariance(self, name):
         # three blocks at 10 steps; the cubic model makes n_rejected non-zero
         grid = TimeGrid(1.0, 10)
@@ -427,6 +439,9 @@ class TestResultContract:
                 cubic, grid, [1.0], [1.0], bins, n_paths=n, seed=45, threads=threads),
             "martingale_mean_check": lambda threads: sg.martingale_mean_check(
                 cubic, grid, [1.0], [1.0], n_paths=n, seed=46, threads=threads),
+            "bel_hessian_weights": lambda threads: sg.bel_hessian(
+                sine, sin_obs(), grid, [0.3], [1.0], [1.0], n_paths=n, seed=47,
+                threads=threads),
             "bel_hessian_nested": lambda threads: sg.bel_hessian(
                 sine, sin_obs(), grid, [0.3], [1.0], [1.0], variant="nested", n_paths=n,
                 seed=47, threads=threads),
@@ -487,6 +502,10 @@ class TestResultContract:
                     lambda: sg.score_gradient(bm1, grid, [0.0], [1.0], bins, n_paths=0)):
             with pytest.raises(InvalidConfig, match="n_paths"):
                 run()
+
+    def test_non_integer_paths_rejected(self, bm1):
+        with pytest.raises(InvalidConfig, match="n_paths"):
+            sg.semigroup_value(bm1, sin_obs(), TimeGrid(1.0, 20), [0.0], n_paths=2.5)
 
     def test_std_error_definition(self, bm1):
         r = sg.semigroup_value(bm1, sin_obs(), GRID, [0.0], n_paths=5000, seed=43)

@@ -16,7 +16,7 @@ from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative,
 from semigrad.models import make_flat_model, skew_from_axis
 from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
 
-from conftest import make_cubic_blowup_model
+from conftest import make_cubic_blowup_model, make_sine_noise_model
 
 
 class TestTimeGrid:
@@ -183,6 +183,26 @@ class TestNoiseContract:
         with pytest.raises(IndexError):
             noise[:, 3]  # past the last step
 
+    def test_step_range_reads_in_order_only(self):
+        grid = TimeGrid(1.0, 4)
+        whole = noise_block(grid, 5, 0, 8, 2)
+        noise = paths.NoiseStream(grid, 5, 0, 8, 2)
+        first, second = noise[:, :2], noise[:, 2:]
+        assert first.shape == second.shape == (8, 2, 2)
+        with pytest.raises(IndexError):
+            second[:, 0]  # step 2 before steps 0 and 1
+        assert np.array_equal(first[:, 0], whole[:, 0])
+        for key in [(slice(None), 0), (slice(None), 2), 1, (0, 1)]:
+            with pytest.raises(IndexError):
+                first[key]
+        assert np.array_equal(first[:, 1], whole[:, 1])
+        with pytest.raises(IndexError):
+            first[:, 2]  # past the range's last step
+        assert np.array_equal(second[:, 0], whole[:, 2])
+        assert np.array_equal(second[:, 1], whole[:, 3])
+        with pytest.raises(IndexError):
+            paths.NoiseStream(grid, 5, 0, 8, 2)[:, ::2]
+
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
     @pytest.mark.parametrize("call", ["semigroup_value", "exact_form_residuals",
                                       "constraint_violation"])
@@ -208,6 +228,31 @@ class TestNoiseContract:
         try:
             estimators.bel_gradient(sc.make(), sc.observables["sin"], TimeGrid(1.0, 1000),
                                     [0.0], [1.0], n_paths=4096, seed=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 1000 * 8 / 4
+
+    @pytest.mark.parametrize("call", ["bel_hessian_weights", "bel_hessian_nested",
+                                      "finite_difference_oracle"])
+    def test_two_pass_callers_hold_no_block_of_noise(self, call):
+        # bel_hessian reads its noise across two simulate calls and the FD oracle
+        # from two starts; both stream it, so neither holds the 32.8 MB block
+        sc = sg.get_scenario("bm1d")
+        f, grid = sc.observables["sin"], TimeGrid(1.0, 1000)
+        run = {
+            "bel_hessian_weights": lambda: estimators.bel_hessian(
+                sc.make(), f, grid, [0.3], [1.0], [1.0], n_paths=4096, seed=1, threads=1),
+            # the sine-noise model runs the nested variant's inner paths
+            "bel_hessian_nested": lambda: estimators.bel_hessian(
+                make_sine_noise_model(), f, grid, [0.3], [1.0], [1.0], variant="nested",
+                n_inner=1, n_paths=4096, seed=1, threads=1),
+            "finite_difference_oracle": lambda: diagnostics.finite_difference_oracle(
+                sc.make(), f, grid, [0.3], [1.0], n_paths=4096, seed=1, threads=1),
+        }[call]
+        tracemalloc.start()
+        try:
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
