@@ -27,11 +27,10 @@ from .estimators import (ConditionalBinSpec, EstimatorResult, bel_gradient,
                          bel_hessian, hessian_flow_gradient,
                          lie_group_gradient, pathwise_gradient,
                          potential_gradient, score_gradient, semigroup_value)
-from .forms import (AlternatingTensor, FormField, angle_form_s1,
-                    exact_one_form, form_exterior_gradient,
-                    line_integral_one_form, one_form_semigroup,
-                    q_form_line_integral, q_form_semigroup, volume_form_s2,
-                    wedge, zero_form_from_observable)
+from .forms import (FormField, angle_form_s1, exact_one_form,
+                    form_exterior_gradient, line_integral_one_form,
+                    one_form_semigroup, q_form_line_integral, q_form_semigroup,
+                    volume_form_s2, zero_form_from_observable)
 from .diagnostics import (BoundCheckReport, HpReport, evaluate_hp,
                           finite_difference_oracle, gronwall_gradient_bound,
                           hp_report, martingale_mean_check, moment_bound_check,

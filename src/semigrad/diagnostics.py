@@ -404,7 +404,7 @@ def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:
     model metric; the n_dirs directions are ``sample_directions`` at x.
     """
     dot, _, ricci_minus_drift = _hp_terms(model, covariant=True)
-    points = np.broadcast_to(_as_vector(model, x), (n_dirs, model.n))
+    points = np.broadcast_to(_as_vector(model, x), (_count("n_dirs", n_dirs), model.n))
     v = _unit(dot, points, sample_directions(model, points, seed))
     return float(np.min(ricci_minus_drift(points, v)))
 

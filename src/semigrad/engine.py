@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig
+from .paths import _TILE
 
 DEFAULT_BLOCK_SIZE = 2048
 # The block partition's budget: what a block's (K, B, m) noise would hold if it
@@ -34,7 +35,7 @@ def _call_fork_fn(bounds):
 
 
 def default_block_size(n_steps: int, m: int) -> int:
-    """Block size for paths of n_steps x m noise: 256 up to 16384, doubled within a budget.
+    """Block size for n_steps x m noise: one ``paths._TILE``, doubled up to 16384 within a budget.
 
     Every estimator and diagnostic block streams its noise a few steps at a
     time, so the ``_NOISE_BLOCK_BYTES`` budget no longer bounds any buffer;
@@ -43,7 +44,7 @@ def default_block_size(n_steps: int, m: int) -> int:
     must not depend on the machine, and changing the rule moves bits.
     """
     budget = _NOISE_BLOCK_BYTES // max(1, n_steps * m * 8)
-    size = 256
+    size = _TILE
     while size * 2 <= min(budget, 16384):
         size *= 2
     return size

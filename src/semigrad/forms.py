@@ -14,7 +14,6 @@ with no factorial normalization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,6 +27,18 @@ from .paths import TimeGrid, _carry, weight
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
+
+
+def _wedge(psi, terms, t):
+    """(Psi ^ b)(v_1..v_q) / t as above, psi[i] = Psi(v_(i+1)), terms[i] = b(..v_(i+1)-hat..)."""
+    return sum((-1.0) ** i * psi[i] * terms[i] for i in range(len(psi))) / t
+
+
+def _check_support(model, form):
+    if form.degree > _MAX_DEGREE or model.n > _MAX_DIM:
+        raise UnsupportedDegree(
+            f"form estimators support degree <= {_MAX_DEGREE} in dimension <= {_MAX_DIM}, "
+            f"got degree {form.degree} in dimension {model.n}")
 
 
 @dataclass(frozen=True)
@@ -54,69 +65,6 @@ class FormField:
         return self.eval(x, *vectors)
 
 
-# ---------------------------------------------------------------------------
-# alternating-tensor algebra in a local orthonormal frame (dim <= 3, q <= 2)
-
-
-@dataclass(frozen=True)
-class AlternatingTensor:
-    """Antisymmetric coefficient array over a local orthonormal frame."""
-
-    degree: int
-    components: np.ndarray  # shape (d,) * degree, antisymmetric
-
-    def __post_init__(self):
-        if self.degree >= 1 and self.components.ndim != self.degree:
-            raise DegreeMismatch("component rank does not match the degree")
-
-    def apply(self, *coord_vectors):
-        """Evaluate on vectors given in the same frame coordinates."""
-        if len(coord_vectors) != self.degree:
-            raise DegreeMismatch("wrong number of vectors")
-        out = self.components
-        for v in coord_vectors:
-            out = np.tensordot(out, v, axes=([0], [0]))
-        return float(out)
-
-
-def wedge(a: AlternatingTensor, b: AlternatingTensor) -> AlternatingTensor:
-    """Shuffle-convention wedge product of two alternating tensors."""
-    p, q = a.degree, b.degree
-    if p == 0 or q == 0:
-        return AlternatingTensor(p + q, a.components * b.components)
-    d = a.components.shape[0]
-    out = np.zeros((d,) * (p + q))
-    idx = range(d)
-    for comb in itertools.product(idx, repeat=p + q):
-        total = 0.0
-        for shuffle in itertools.combinations(range(p + q), p):
-            rest = [i for i in range(p + q) if i not in shuffle]
-            sign = _shuffle_sign(shuffle, rest)
-            ia = tuple(comb[i] for i in shuffle)
-            ib = tuple(comb[i] for i in rest)
-            total += sign * a.components[ia] * b.components[ib]
-        out[comb] = total
-    return AlternatingTensor(p + q, out)
-
-
-def _shuffle_sign(first, rest):
-    perm = list(first) + list(rest)
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def tangent_frame(model, x) -> np.ndarray:
     """Deterministic orthonormal tangent frame at x via Gram-Schmidt.
 
@@ -137,17 +85,6 @@ def tangent_frame(model, x) -> np.ndarray:
         if norm > 1e-8:
             frame.append(v / norm)
     return np.array(frame)
-
-
-def as_alternating(form: FormField, model, x, frame=None) -> AlternatingTensor:
-    """Components of a form at x over the orthonormal tangent frame."""
-    if frame is None:
-        frame = tangent_frame(model, x)
-    d = len(frame)
-    comps = np.zeros((d,) * form.degree)
-    for comb in itertools.product(range(d), repeat=form.degree):
-        comps[comb] = float(form.eval(x[None], *(frame[i][None] for i in comb))[0])
-    return AlternatingTensor(form.degree, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +138,6 @@ def line_integral_step(form: FormField, grid: TimeGrid, rest):
 # form semigroup estimators
 
 
-def _check_form_model(model, form):
-    if form.degree > _MAX_DEGREE or model.n > _MAX_DIM:
-        raise UnsupportedDegree(
-            f"form estimators support q <= {_MAX_DEGREE} in dimension <= {_MAX_DIM}")
-    if not form.is_closed:
-        raise NotClosed("the form semigroup needs a closed form")
-    if form.degree >= 2 and not model.gradient_system:
-        raise NotGradientSystem("q >= 2 needs a gradient h-Brownian system")
-    if form.degree == 1 and not (model.h_brownian or model.geometry is None):
-        raise NotGradientSystem("the 1-form semigroup needs an h-Brownian system")
-
-
 def one_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0, *,
                        n_paths, seed=0, threads=None) -> EstimatorResult:
     """Heat semigroup on a closed 1-form evaluated at (x0, v0)."""
@@ -229,19 +154,25 @@ def q_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0s, *,
     Per path: Psi(.) = sum_k <X(x_k) dB_k, v_k(.)> and the (q-1)-form line
     integral L(.); the estimate is the average of (Psi ^ L)(v0s) / t.
     """
-    _check_form_model(model, form)
+    _check_support(model, form)
     q = form.degree
+    if not form.is_closed:
+        raise NotClosed("the form semigroup needs a closed form")
+    if q >= 2 and not model.gradient_system:
+        raise NotGradientSystem("q >= 2 needs a gradient h-Brownian system")
+    if q == 1 and not (model.h_brownian or model.geometry is None):
+        raise NotGradientSystem("the 1-form semigroup needs an h-Brownian system")
     if len(v0s) != q:
         raise DegreeMismatch(f"degree-{q} semigroup needs {q} vectors, got {len(v0s)}")
     _require_codiff(form)
     t = grid.t_end
     rests = [tuple(j for j in range(q) if j != i) for i in range(q)]
 
-    def wedge_endpoint(x, vs, sums):
-        psi, line = sums[:q], sums[q:]  # line[i] integrates over the vectors in rests[i]
-        return sum((-1.0) ** i * psi[i] * line[i] for i in range(q)) / t
+    def endpoint(x, vs, sums):
+        # sums[q + i] integrates over the vectors in rests[i]
+        return _wedge(sums[:q], sums[q:], t)
 
-    return _estimate(model, grid, x0, wedge_endpoint, vs=v0s,
+    return _estimate(model, grid, x0, endpoint, vs=v0s,
                      sums=[weight(model, i, metric=True) for i in range(q)]
                      + [line_integral_step(form, grid, rest) for rest in rests],
                      n_paths=n_paths, seed=seed, threads=threads,
@@ -256,20 +187,19 @@ def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
     q = 1 (phi a function) this reduces to the derivative-free gradient
     estimator.
     """
+    _check_support(model, form)
     q = form.degree + 1
-    if q > _MAX_DEGREE + 1 or model.n > _MAX_DIM:
-        raise UnsupportedDegree("degree out of the supported range")
     if q >= 2 and not model.gradient_system and model.geometry is not None:
         raise NotGradientSystem("form differentiation needs a gradient h-Brownian system")
     if len(v0s) != q:
         raise DegreeMismatch(f"expected {q} vectors, got {len(v0s)}")
     t = grid.t_end
 
-    def wedge_endpoint(x, vs, psi):
-        return sum((-1.0) ** i * psi[i] * form.eval(x, *(vs[j] for j in range(q) if j != i))
-                   for i in range(q)) / t
+    def endpoint(x, vs, psi):
+        return _wedge(psi, [form.eval(x, *(vs[j] for j in range(q) if j != i))
+                            for i in range(q)], t)
 
-    return _estimate(model, grid, x0, wedge_endpoint, vs=v0s,
+    return _estimate(model, grid, x0, endpoint, vs=v0s,
                      sums=[weight(model, i, metric=True) for i in range(q)],
                      n_paths=n_paths, seed=seed, threads=threads,
                      metadata={"form": form.name, "degree": q})

@@ -95,6 +95,11 @@ class NoiseStream:
     """
 
     def __init__(self, grid: TimeGrid, seed: int, lo: int, hi: int, m: int, stream: int = 0):
+        try:
+            lo, hi, m = (operator.index(v) for v in (lo, hi, m))
+        except TypeError:
+            raise InvalidConfig(f"path_index range [lo, hi) and m must be integers, "
+                                f"got [{lo!r}, {hi!r}) and {m!r}") from None
         if m < 1:
             raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
         for name, key in (("seed", seed), ("stream", stream)):

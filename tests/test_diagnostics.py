@@ -289,6 +289,11 @@ class TestRhoHelpers:
         rho = curvature_rho(sg.make_so3_model(s), np.eye(3).reshape(-1))
         assert abs(rho - s * s / 2) < 1e-9
 
+    @pytest.mark.parametrize("n_dirs", [0, -1, 2.5])
+    def test_curvature_rho_needs_directions(self, sphere, n_dirs):
+        with pytest.raises(InvalidConfig, match="n_dirs"):
+            curvature_rho(sphere, np.array([0.0, 0.0, 1.0]), n_dirs=n_dirs)
+
     def test_dist_rho(self, sphere, bm1):
         assert abs(dist_rho(sphere, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
                    - np.pi / 2) < 1e-12

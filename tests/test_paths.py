@@ -77,7 +77,7 @@ class TestNoise:
         with pytest.raises(DimensionMismatch):
             generate_noise(TimeGrid(1.0, 10), 0, 0, 0)
 
-    @pytest.mark.parametrize("path_index", [-1, 2 ** 64])
+    @pytest.mark.parametrize("path_index", [-1, 2 ** 64, 1.5, 4.0])
     def test_invalid_path_index(self, path_index):
         with pytest.raises(InvalidConfig, match="path_index"):
             generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
@@ -90,6 +90,10 @@ class TestNoise:
         (0, 5, 1, -1, InvalidConfig),
         (0, 5, 1, 2 ** 64, InvalidConfig),
         (0, 5, 1, 1.5, InvalidConfig),
+        (0, 4, 1.5, 0, InvalidConfig),
+        (0, 4, 4.0, 0, InvalidConfig),
+        (1.5, 4, 1, 0, InvalidConfig),
+        (0, 4.0, 1, 0, InvalidConfig),
     ])
     def test_noise_block_rejects_bad_inputs(self, lo, hi, m, stream, error):
         with pytest.raises(error):
@@ -97,7 +101,7 @@ class TestNoise:
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 1.0, np.float64(2.0), "1", None])
     def test_noise_block_rejects_bad_seed(self, seed):
-        # the Philox key is the seed itself: nothing may alias onto another seed
+        # the SFC64 key holds the seed itself: nothing may alias onto another seed
         with pytest.raises(InvalidConfig, match="seed"):
             noise_block(TimeGrid(1.0, 10), seed, 0, 4, 1)
 
@@ -542,6 +546,23 @@ def test_curvature_terms_have_one_home():
         readers += [(name, n, any(a <= n <= b for a, b in spans))
                     for n, line in enumerate(text.splitlines(), 1) if "hess_h" in line]
     assert readers and all(inside for _, _, inside in readers), readers
+
+
+def test_wedge_convention_has_one_home():
+    # the wedge sign is written once, in forms._wedge, and the unused
+    # alternating-tensor algebra stays deleted
+    src = os.path.dirname(sg.__file__)
+    signs = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        text = open(path).read()
+        assert "AlternatingTensor" not in text, name
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef) and f.name == "_wedge"
+                 and name == "forms.py"]
+        signs += [(name, n, any(a <= n <= b for a, b in spans))
+                  for n, line in enumerate(text.splitlines(), 1) if "(-1.0) **" in line]
+    assert len(signs) == 1 and signs[0][2], signs
 
 
 def test_simulate_callbacks_keep_their_contract():
