@@ -96,7 +96,7 @@ def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
     generic forms at the coefficient value p = 3.
     """
     if form not in HP_FORMS:
-        raise ValueError(f"unknown H_p form {form!r}")
+        raise InvalidConfig(f"unknown H_p form {form!r}")
     model.require("DX")
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     dot, project, ricci_minus_drift = _hp_terms(model, form in ("manifold", "section3_H2"))
@@ -194,9 +194,9 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
     """Central difference of the semigroup value with common random numbers.
 
     Both perturbed starts reuse identical noise per path: a block steps its
-    B paths from x+ and from x- as 2B stacked rows through one stream, each
-    step's increments repeated for both halves.  Manifold models perturb
-    along the geodesic through x0 with velocity v0.
+    B paths from x+ and from x- as 2B stacked rows through one pass of its
+    ``NoiseStream``, each step's (B, m) increments stacked twice.  Manifold
+    models perturb along the geodesic through x0 with velocity v0.
     """
     f = as_observable(f)
     if delta == 0 or not np.isfinite(delta):
@@ -214,27 +214,14 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
 
     def block(lo, hi):
         B = hi - lo
-        x, alive, _, _ = simulate(model, grid, np.repeat([x_plus, x_minus], B, axis=0),
-                                  _Twice(NoiseStream(grid, seed, lo, hi, model.m)))
+        twice = (np.concatenate([dW, dW]) for dW in NoiseStream(grid, seed, lo, hi, model.m))
+        x, alive, _, _ = simulate(model, grid, np.repeat([x_plus, x_minus], B, axis=0), twice)
         values = (f(x[:B]) - f(x[B:])) / (2.0 * delta)
         return (values,), alive[:B] & alive[B:]
 
     meta = {"delta": delta}
     return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
                       metadata=meta)
-
-
-class _Twice:
-    """A (2B, K, m) noise whose step k is ``noise[:, k]`` for both halves of 2B rows."""
-
-    def __init__(self, noise):
-        B, K, m = noise.shape
-        self.shape = (2 * B, K, m)
-        self._noise = noise
-
-    def __getitem__(self, key):
-        dW = self._noise[key]
-        return np.concatenate([dW, dW])
 
 
 def _exp_integral(alpha, t):
@@ -356,13 +343,14 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
     line_integral = line_integral_step(exact_one_form(f, minus_laplacian=codiff), grid, ())
 
     def block(lo, hi):
-        f0 = f(np.broadcast_to(x0, (hi - lo, model.n)))
+        x0s = np.broadcast_to(x0, (hi - lo, model.n))
+        f0 = f(x0s)
         scale = np.zeros(hi - lo)
 
         def track_scale(k, x, vs, alive):
             np.maximum(scale, np.linalg.norm(x, axis=-1), out=scale)
 
-        x, alive, _, (line,) = simulate(model, grid, x0,
+        x, alive, _, (line,) = simulate(model, grid, x0s,
                                         NoiseStream(grid, seed, lo, hi, model.m),
                                         sums=[line_integral], hook=track_scale)
         resid = np.abs(line - (f(x) - f0))
@@ -391,7 +379,8 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
                 res = np.linalg.norm(model.geometry.constraint(x), axis=-1)
                 worst = max(worst, float(np.max(res[alive])))
 
-        simulate(model, grid, x0, NoiseStream(grid, seed, lo, hi, model.m), hook=track)
+        simulate(model, grid, np.broadcast_to(x0, (hi - lo, model.n)),
+                 NoiseStream(grid, seed, lo, hi, model.m), hook=track)
         return worst
 
     return max(_map_paths(model, grid, n_paths, block, threads))

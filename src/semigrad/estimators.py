@@ -131,7 +131,7 @@ def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=Non
     spec["vs"] = [_as_vector(model, v) for v in spec.get("vs", ())]
 
     def block(lo, hi):
-        x, alive, vs, sums = simulate(model, grid, x0,
+        x, alive, vs, sums = simulate(model, grid, np.broadcast_to(x0, (hi - lo, model.n)),
                                       NoiseStream(grid, seed, lo, hi, model.m), **spec)
         columns = endpoint(x, vs, sums)
         return columns if isinstance(columns, tuple) else (columns,), alive
@@ -216,6 +216,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
     t = grid.t_end
     dt = grid.dt
     K2 = grid.n_steps // 2
+    half = TimeGrid(t / 2, K2)  # its dt is dt bitwise
 
     def first_half_flow(k, x, x1, vs, dW):
         u, v, w = vs
@@ -235,7 +236,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
     sums = [weight(model, 0)] + ([correction] if variant == "weights" else [])
 
     def block(lo, hi):
-        dWs = NoiseStream(grid, seed, lo, hi, model.m)
+        dWs = iter(NoiseStream(grid, seed, lo, hi, model.m))  # both halves read it
         k_s = -1
         if variant == "nested":
             k_s = int(_keyed(seed, _AUX_STREAM, lo).integers(0, K2))
@@ -246,9 +247,9 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
                 snap.update(x=x, u=vs[0], v=vs[1], w=vs[2], alive=alive)
 
         x, alive, (_, v, _), (acc_u, *acc_corr) = simulate(
-            model, grid, x0, dWs[:, :K2], vs=(u0, v0, w0), flow=first_half_flow,
-            sums=sums, hook=snapshot)
-        x, alive, _, (acc_v,) = simulate(model, grid, x, dWs[:, K2:], alive,
+            model, half, np.broadcast_to(x0, (hi - lo, model.n)), dWs, vs=(u0, v0, w0),
+            flow=first_half_flow, sums=sums, hook=snapshot)
+        x, alive, _, (acc_v,) = simulate(model, half, x, dWs, alive,
                                          vs=(v,), sums=[weight(model, 0)])
         values = f(x) * (4.0 / (t * t) * acc_v * acc_u + 2.0 / t * sum(acc_corr))
         if variant == "nested":

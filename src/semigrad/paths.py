@@ -3,8 +3,10 @@
 Noise is keyed: each 256-path tile is one SFC64 generator seeded by
 ``SeedSequence([seed, stream, tile])`` that draws step-major, so every path is
 reproducible from its index alone and distinct tiles use independent streams.
-Every estimator and diagnostic block reads it as a ``NoiseStream``, a few
-steps at a time from one small reused buffer; ``noise_block`` is the same draw
+Noise reaches ``simulate`` as an iterator of steps, each the (B, m)
+increments of one time step, read once and in order.  Every estimator and
+diagnostic block iterates a ``NoiseStream``, which draws a few steps at a
+time into one small reused buffer; ``noise_block`` is the same draw
 materialized, kept for ``generate_noise``'s single paths and for checking the
 stream against.
 ``simulate`` is the one SDE time loop of the package: Euler-Maruyama in the
@@ -40,9 +42,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+            raise InvalidConfig(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
         if not 0 < self.t_end < np.inf:
-            raise ValueError("t_end must be positive and finite")
+            raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end!r}")
 
     @property
     def dt(self) -> float:
@@ -69,6 +71,8 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
     Deterministic in (seed, path_index): a row of the path's 256-path tile,
     so it draws the whole tile.  The increments are row 0 of ``noise_block``.
     """
+    if not hasattr(path_index, "__index__"):
+        raise InvalidConfig(f"path_index must be an integer, got {path_index!r}")
     return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
@@ -79,19 +83,19 @@ def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
 
 
 class NoiseStream:
-    """Increments for paths lo..hi-1, handed to ``simulate`` a chunk of steps at a time.
+    """Increments for paths lo..hi-1: an iterable of n_steps steps, each (hi-lo, m).
 
-    Reads as a (hi-lo, n_steps, m) array that gives only ``noise[:, k]``,
-    the contiguous (hi-lo, m) increments of step k, for k = 0, 1, 2, ... in
-    order; any other access raises ``IndexError``.  ``noise[:, a:b]`` is a
-    range read the same way, as ``[:, j]`` = ``noise[:, a + j]``, so two
-    ``simulate`` calls can share one stream across a split of the steps.
+    Iterating it yields step k's contiguous (hi-lo, m) increments for
+    k = 0, 1, 2, ..., drawn a chunk of steps at a time into one reused buffer
+    of about ``_CHUNK_BYTES``, so a step is valid only until the next one is
+    read.  Read it once: the tile generators are not rewound, so a second
+    pass would draw the steps after the last.  Two ``simulate`` calls can
+    share one ``iter(stream)`` across a split of the steps.
     Each 256-path tile is one SFC64 generator keyed by (seed, stream, tile)
     that draws step-major: step k's (256, m) increments are its draws
     [k 256 m, (k+1) 256 m).  A tile the block only overlaps still draws all
     256 rows at every step, so row i depends only on (seed, lo + i, stream),
     never on the block bounds.
-    The steps are drawn into one reused buffer of about ``_CHUNK_BYTES``.
     """
 
     def __init__(self, grid: TimeGrid, seed: int, lo: int, hi: int, m: int, stream: int = 0):
@@ -119,8 +123,6 @@ class NoiseStream:
                                 slice(first - lo, stop - lo)))
         step_bytes = max(1, (hi - lo) * m * 8)
         self._buf = np.empty((min(K, max(1, _CHUNK_BYTES // step_bytes)), hi - lo, m))
-        self._next = 0  # the only step a read may ask for
-        self._start = self._stop = 0  # the steps the buffer holds
 
     def _draw(self, out: np.ndarray):
         """The next len(out) steps of every tile, scaled by sqrt(dt), into out (c, hi-lo, m)."""
@@ -129,39 +131,12 @@ class NoiseStream:
             gen.standard_normal(out=scratch)
             np.multiply(scratch[:, rows], self._sqrt_dt, out=out[:, dest])
 
-    def __getitem__(self, key):
-        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], slice):
-            return _StepRange(self, key)
-        k = self._next
-        if key != (slice(None), k) or k >= self.shape[1]:
-            raise IndexError(f"a noise stream reads noise[:, {k}] next, not {key!r}")
-        if k == self._stop:
-            self._start, self._stop = k, min(k + len(self._buf), self.shape[1])
-            self._draw(self._buf[:self._stop - k])
-        self._next = k + 1
-        return self._buf[k - self._start]
-
-
-class _StepRange:
-    """``stream[:, a:b]``: steps a..b-1 of a ``NoiseStream``, ``[:, j]`` being its step a + j.
-
-    Holds nothing of its own; the stream still checks that every step is
-    read once and in order, so the range's first read must be step a.
-    """
-
-    def __init__(self, stream: NoiseStream, key):
-        B, K, m = stream.shape
-        a, b, step = key[1].indices(K)
-        if key[0] != slice(None) or step != 1:
-            raise IndexError(f"a noise stream gives [:, a:b] ranges only, not {key!r}")
-        self._stream, self._a = stream, a
-        self.shape = (B, max(0, b - a), m)
-
-    def __getitem__(self, key):
-        j = self._stream._next - self._a
-        if key != (slice(None), j) or not 0 <= j < self.shape[1]:
-            raise IndexError(f"this range reads noise[:, {j}] next, not {key!r}")
-        return self._stream[key[0], self._a + j]
+    def __iter__(self):
+        K, size = self.shape[1], len(self._buf)
+        for start in range(0, K, size):
+            chunk = self._buf[:min(size, K - start)]
+            self._draw(chunk)
+            yield from chunk
 
 
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
@@ -170,9 +145,10 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
 
     The whole stream is drawn as one chunk of n_steps into a step-major
     (n_steps, hi-lo, m) buffer; the result is that buffer's transposed view,
-    so each step's ``[:, k]`` is contiguous and equals the stream's.  It
-    holds n_steps x (hi-lo) x m floats, so no estimator block calls it; it
-    backs ``generate_noise`` and the tests that pin the stream's draws.
+    so ``[:, k]`` is contiguous and equals the stream's step k, and
+    ``.transpose(1, 0, 2)`` is the steps ``simulate`` iterates.  It holds
+    n_steps x (hi-lo) x m floats, so no estimator block calls it; it backs
+    ``generate_noise`` and the tests that pin the stream's draws.
     """
     noise = NoiseStream(grid, seed, lo, hi, m, stream)
     out = np.empty((grid.n_steps, hi - lo, m))
@@ -225,15 +201,17 @@ def weight(model, i, metric=None):
         "bm,bm->b", apply_right_inverse(model, x, vs[i]), dW)
 
 
-def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
+def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
              flow=None, sums=(), hook=None, step=None):
-    """Step a block of paths through the increments dWs: (B, K, m), any strides.
+    """Step a block of paths from states x (B, n) through the steps of dWs.
 
-    Reads only ``dWs.shape`` and ``dWs[:, k]`` for k = 0, 1, 2, ... in order,
-    so dWs may be a ``NoiseStream`` or a step range of one, which never hold
-    the whole block, or any array such as the view ``noise_block`` returns.
+    dWs is any iterable of (B, m) increments, such as a ``NoiseStream``, an
+    iterator over one shared by several calls, or a step-major (K, B, m)
+    array; ``simulate`` takes exactly ``grid.n_steps`` steps from it and
+    raises ``DimensionMismatch`` if it runs short or a step is not (B, m).
+    No step is kept past its own iteration, so a stream may reuse its buffer.
 
-    Starts at x, a point (n,) or states (B, n), with survival mask ``alive``.
+    ``alive`` is the starting survival mask (all True by default).
     Each callback has one job; step k works at the left endpoint x_k:
     - ``step(k, x, dW)`` -> (x1, X(x) dW) moves the paths, by default by the
       Euler, retraction or group step; the group step makes X(x) dW only
@@ -247,11 +225,11 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     Paths whose new state leaves the blow-up radius freeze and drop out.
     Returns (x, alive, vs, totals) after the last step.
     """
-    B, K, m = dWs.shape
-    if m != model.m:
-        raise DimensionMismatch(f"noise has m={m}, model expects m={model.m}")
+    x = np.array(x, dtype=float, order="C")
+    if x.ndim != 2 or x.shape[1] != model.n:
+        raise DimensionMismatch(f"states must be (B, {model.n}), got {x.shape}")
+    B, K, m = len(x), grid.n_steps, model.m
     dt = grid.dt
-    x = np.broadcast_to(x, (B, model.n)).copy()
     alive = np.ones(B, dtype=bool) if alive is None else alive
     vs = [np.broadcast_to(v, (B, model.n)).copy() for v in vs]
     totals = [np.zeros(B) for _ in sums]
@@ -276,8 +254,13 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     dot = make_dot(model.n)
     radius_sq = model.blow_up_radius ** 2
     with np.errstate(over="ignore", invalid="ignore"):
+        steps = iter(dWs)
         for k in range(K):
-            dW = dWs[:, k]
+            dW = next(steps, None)
+            if dW is None:
+                raise DimensionMismatch(f"noise ran out after {k} of {K} steps")
+            if dW.shape != (B, m):
+                raise DimensionMismatch(f"noise step {k} is {dW.shape}, model expects {(B, m)}")
             x1, x_dB = step(k, x, dW)
             for acc, inc in zip(totals, sums):
                 acc += np.where(alive, inc(k, x, x_dB, dW, vs), 0.0)
@@ -295,15 +278,15 @@ def simulate(model, grid: TimeGrid, x, dWs: np.ndarray, alive=None, *, vs=(),
     return x, alive, vs, totals
 
 
-def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray, *,
+def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
                     vs=(), flow=None, sums=(), step=None):
     """Step a block of paths through ``simulate``, recording every state and field.
 
-    Takes ``simulate``'s own ``vs``/``flow``/``sums``/``step``.  Returns
+    Takes ``simulate``'s own ``dWs``/``vs``/``flow``/``sums``/``step``.  Returns
     (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none,
     fields: one (B, K+1, n) array per entry of vs, totals).
     """
-    B, K, _ = dWs.shape
+    B, K = len(x0s), grid.n_steps
     states = np.empty((B, K + 1, model.n))
     alives = np.empty((B, K + 1), dtype=bool)
     fields = [np.empty((B, K + 1, model.n)) for _ in vs]
@@ -324,7 +307,7 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs: np.ndarray, *,
 def integrate_ito(model, x0, grid: TimeGrid, noise: np.ndarray) -> Trajectory:
     """dx = X(x) dB + Z(x) dt on one path's increments (n_steps, m), as ``simulate`` steps it."""
     x0 = variation._as_vector(model, x0)
-    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid, noise[None])
+    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid, noise[:, None])
     blew = not alive[0]
     return Trajectory(states[0], grid, blew, int(blow_step[0]) if blew else None)
 
@@ -345,6 +328,6 @@ def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
     def stored(k, x, dW):
         return traj.states[k + 1][None], apply_coeff(model, x, dW) if sums else None
 
-    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid, noise[None],
+    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid, noise[:, None],
                                               vs=vs, flow=flow, sums=sums, step=stored)
     return [f[0] for f in fields], [t[0] for t in totals]

@@ -23,6 +23,10 @@ class TestEvaluateHp:
         for form in ("rn_ito", "manifold", "section2_H2", "section3_H2"):
             assert evaluate_hp(bm1, 2.0, [0.3], [1.0], form=form) == 0.0
 
+    def test_unknown_form_rejected(self, bm1):
+        with pytest.raises(InvalidConfig, match="bogus"):
+            evaluate_hp(bm1, 2.0, [0.3], [1.0], form="bogus")
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
     def test_ou_is_minus_two(self, ou, p):
         assert evaluate_hp(ou, p, [0.5], [1.0], form="rn_ito") == -2.0

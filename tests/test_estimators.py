@@ -145,7 +145,8 @@ class TestBelHessian:
         dWs = noise_block(grid, seed, 0, n, model.m)
 
         def gradient(x):
-            xt, _, _, (wsum,) = simulate(model, grid, [x], dWs, vs=([1.0],),
+            xt, _, _, (wsum,) = simulate(model, grid, np.full((n, 1), x),
+                                         dWs.transpose(1, 0, 2), vs=([1.0],),
                                          sums=[weight(model, 0)])
             return obs(xt) * wsum / grid.t_end
 

@@ -144,7 +144,7 @@ class TestQFormLineIntegral:
             alphas = [evolve_first_variation(model, traj, noise, v) for v in vs]
             got = q_form_line_integral(model, traj, noise, form, alphas)
             _, _, _, (total,) = simulate(
-                model, grid, sc.x0, noise[None], vs=vs,
+                model, grid, [sc.x0], noise[:, None], vs=vs,
                 sums=[line_integral_step(form, grid, range(form.degree - 1))])
             assert got == total[0]
 

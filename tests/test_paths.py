@@ -29,18 +29,18 @@ class TestTimeGrid:
             assert times[k] == k * grid.dt
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TimeGrid(1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TimeGrid(0.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             TimeGrid(-1.0, 10)
         # a non-finite horizon would make dt infinite and every path "blow up"
         for t_end in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="t_end"):
+            with pytest.raises(InvalidConfig, match="t_end"):
                 TimeGrid(t_end, 10)
         for n_steps in (2.5, 10.0, "10"):
-            with pytest.raises(ValueError, match="n_steps"):
+            with pytest.raises(InvalidConfig, match="n_steps"):
                 TimeGrid(1.0, n_steps)
         assert TimeGrid(1.0, np.int64(10)).dt == 0.1
 
@@ -77,7 +77,7 @@ class TestNoise:
         with pytest.raises(DimensionMismatch):
             generate_noise(TimeGrid(1.0, 10), 0, 0, 0)
 
-    @pytest.mark.parametrize("path_index", [-1, 2 ** 64, 1.5, 4.0])
+    @pytest.mark.parametrize("path_index", [-1, 2 ** 64, 1.5, 4.0, "1", None])
     def test_invalid_path_index(self, path_index):
         with pytest.raises(InvalidConfig, match="path_index"):
             generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
@@ -173,39 +173,47 @@ class TestNoiseContract:
             with mock.patch.object(paths, "_CHUNK_BYTES", chunk * (hi - lo) * m * 8):
                 noise = paths.NoiseStream(grid, 5, lo, hi, m, stream)
             assert noise.shape == (hi - lo, 10, m) and len(noise._buf) == chunk
-            for k in range(10):
-                assert np.array_equal(noise[:, k], whole[lo:hi, k])
+            for k, dW in enumerate(noise):
+                assert np.array_equal(dW, whole[lo:hi, k])
+            assert k == 9
 
-    def test_stream_reads_in_order_only(self):
-        noise = paths.NoiseStream(self.GRID, 5, 0, 8, 1)
-        noise[:, 0]
-        for key in [(slice(None), 0), (slice(None), 2), 1, (slice(0, 4), 1), (0, 1)]:
-            with pytest.raises(IndexError):
-                noise[key]
-        noise[:, 1]
-        noise[:, 2]
-        with pytest.raises(IndexError):
-            noise[:, 3]  # past the last step
+    @pytest.mark.parametrize("sid", ["bm1d", "sphere3"])
+    def test_half_grids_on_one_iterator_match_the_full_grid(self, sid):
+        # two simulate calls on t/2 grids that share one iter(NoiseStream) step the
+        # paths, fields and weights bitwise as one call on the whole grid; the
+        # 3-step chunks put the split inside a chunk
+        sc = sg.get_scenario(sid)
+        model = sc.make()
+        grid, half, B = TimeGrid(1.0, 10), TimeGrid(0.5, 5), 64
+        x0s = np.broadcast_to(sc.x0, (B, model.n))
+        with mock.patch.object(paths, "_CHUNK_BYTES", 3 * B * model.m * 8):
+            whole = paths.NoiseStream(grid, 3, 0, B, model.m)
+            split = paths.NoiseStream(grid, 3, 0, B, model.m)
+        w = paths.weight(model, 0)
 
-    def test_step_range_reads_in_order_only(self):
-        grid = TimeGrid(1.0, 4)
-        whole = noise_block(grid, 5, 0, 8, 2)
-        noise = paths.NoiseStream(grid, 5, 0, 8, 2)
-        first, second = noise[:, :2], noise[:, 2:]
-        assert first.shape == second.shape == (8, 2, 2)
-        with pytest.raises(IndexError):
-            second[:, 0]  # step 2 before steps 0 and 1
-        assert np.array_equal(first[:, 0], whole[:, 0])
-        for key in [(slice(None), 0), (slice(None), 2), 1, (0, 1)]:
-            with pytest.raises(IndexError):
-                first[key]
-        assert np.array_equal(first[:, 1], whole[:, 1])
-        with pytest.raises(IndexError):
-            first[:, 2]  # past the range's last step
-        assert np.array_equal(second[:, 0], whole[:, 2])
-        assert np.array_equal(second[:, 1], whole[:, 3])
-        with pytest.raises(IndexError):
-            paths.NoiseStream(grid, 5, 0, 8, 2)[:, ::2]
+        def gated(first):
+            # the full call's weight over one half, 0.0 on the other
+            return lambda k, *args: w(k, *args) if (k < 5) == first else np.zeros(B)
+
+        x, alive, (v,), totals = simulate(model, grid, x0s, whole, vs=(sc.v0,),
+                                          sums=[gated(True), gated(False)])
+        steps = iter(split)
+        x1, alive1, (v1,), (t1,) = simulate(model, half, x0s, steps, vs=(sc.v0,), sums=[w])
+        x2, alive2, (v2,), (t2,) = simulate(model, half, x1, steps, alive1, vs=(v1,), sums=[w])
+        assert next(steps, None) is None
+        assert np.array_equal(x2, x) and np.array_equal(alive2, alive)
+        assert np.array_equal(v2, v)
+        assert np.array_equal(t1, totals[0]) and np.array_equal(t2, totals[1])
+
+    def test_simulate_rejects_short_or_misshapen_noise(self):
+        model = sg.get_scenario("sphere3").make()
+        grid, B = TimeGrid(1.0, 4), 8
+        x0s = np.tile([1.0, 0.0, 0.0], (B, 1))
+        steps = noise_block(grid, 5, 0, B + 1, model.m).transpose(1, 0, 2)
+        with pytest.raises(DimensionMismatch, match="ran out"):
+            simulate(model, grid, x0s, iter(steps[:-1, :B]))
+        with pytest.raises(DimensionMismatch, match="step 0"):
+            simulate(model, grid, x0s, steps)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
     @pytest.mark.parametrize("call", ["semigroup_value", "exact_form_residuals",
@@ -337,8 +345,10 @@ class TestIntegration:
         model.blow_up_radius = 3.0
         grid = TimeGrid(1.0, 100)
         dWs = noise_block(grid, 4, 0, 64, 1)
-        _, _, blow_step, _, _ = integrate_block(model, np.full((64, 1), 1.0), grid, dWs)
-        _, alive, _, (total,) = simulate(model, grid, [1.0], dWs,
+        _, _, blow_step, _, _ = integrate_block(model, np.full((64, 1), 1.0), grid,
+                                                dWs.transpose(1, 0, 2))
+        _, alive, _, (total,) = simulate(model, grid, np.full((64, 1), 1.0),
+                                         dWs.transpose(1, 0, 2),
                                          sums=[lambda k, x, x_dB, dW, vs: dW[:, 0]])
         assert 0 < np.sum(~alive) < 64
         assert np.array_equal(alive, blow_step < 0)
@@ -408,13 +418,13 @@ class TestStatisticalSanity:
         n = 2000
         w = noise_block(fine, 33, 0, n, 1)
         x0s = np.ones((n, 1))
-        ref, *_ = integrate_block(ou, x0s, fine, w)
+        ref, *_ = integrate_block(ou, x0s, fine, w.transpose(1, 0, 2))
         errs = {}
         for level, group in ((0, 8), (1, 4)):
             steps = 800 // group
             grid = TimeGrid(1.0, steps)
             coarse = w.reshape(n, steps, group, 1).sum(axis=2)
-            states, *_ = integrate_block(ou, x0s, grid, coarse)
+            states, *_ = integrate_block(ou, x0s, grid, coarse.transpose(1, 0, 2))
             errs[level] = np.sqrt(np.mean((states[:, -1, 0] - ref[:, -1, 0]) ** 2))
         ratio = errs[0] / errs[1]
         assert 1.5 < ratio < 2.8
@@ -501,7 +511,8 @@ class TestGroupStep:
     def test_skipping_x_dW_changes_nothing(self):
         # a step that makes no X(x) dW moves the paths and the weight bitwise as the default
         model, _, g0, _ = self._so3()
-        dWs = noise_block(self.GRID, 3, 0, 300, model.m)
+        dWs = noise_block(self.GRID, 3, 0, 300, model.m).transpose(1, 0, 2)
+        g0s = np.broadcast_to(g0, (300, model.n))
 
         def inc(k, x, x_dB, dW, vs):
             return model.ad_inverse(x, [0.3, -1.0, 0.5])[:, 0] * dW[:, 1]
@@ -509,8 +520,8 @@ class TestGroupStep:
         def group_step(k, x, dW):
             return model.geometry.step(x, dW, self.GRID.dt), None
 
-        x_read, _, _, (total_read,) = simulate(model, self.GRID, g0, dWs, sums=[inc])
-        x_skip, _, _, (total_skip,) = simulate(model, self.GRID, g0, dWs, sums=[inc],
+        x_read, _, _, (total_read,) = simulate(model, self.GRID, g0s, dWs, sums=[inc])
+        x_skip, _, _, (total_skip,) = simulate(model, self.GRID, g0s, dWs, sums=[inc],
                                                step=group_step)
         assert np.array_equal(x_read, x_skip) and np.array_equal(total_read, total_skip)
 
@@ -527,6 +538,16 @@ def test_simulate_is_the_only_time_loop():
         loops += [(os.path.basename(path), n, any(a <= n <= b for a, b in spans))
                   for n, line in enumerate(text.splitlines(), 1) if "for k in range(" in line]
     assert [inside for _, _, inside in loops] == [True], loops
+
+
+def test_noise_is_read_by_iteration_only():
+    # simulate iterates its noise, so no module imitates an array with __getitem__
+    src = os.path.dirname(sg.__file__)
+    getters = [(os.path.basename(path), node.lineno)
+               for path in sorted(glob.glob(os.path.join(src, "*.py")))
+               for node in ast.walk(ast.parse(open(path).read()))
+               if isinstance(node, ast.FunctionDef) and node.name == "__getitem__"]
+    assert not getters, getters
 
 
 def test_curvature_terms_have_one_home():

@@ -148,7 +148,7 @@ class TestHessianFlow:
         n = 8000
         dWs = noise_block(grid, 91, 0, n, 3)
         states, *_ = integrate_block(sphere, np.tile([1.0, 0.0, 0.0], (n, 1)),
-                                     grid, dWs)
+                                     grid, dWs.transpose(1, 0, 2))
         v = np.tile([0.0, 0.0, 1.0], (n, 1))
         W = v.copy()
         dd = covariant_drift_deriv(sphere)
