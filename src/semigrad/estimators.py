@@ -19,13 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .errors import (AllPathsBlewUp, Degenerate, DimensionMismatch, EmptyBin,
+from .errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                      InvalidConfig, MissingDerivative, NotLieGroup,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
 from .paths import NoiseStream, TimeGrid, _keyed, simulate, weight
-from .variation import (_as_vector, apply_dx, first_variation_step, hessian_flow,
+from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
 _AUX_STREAM = 1 << 32  # sub-stream slot for auxiliary draws (inner paths use 1..n_inner)
@@ -174,8 +174,8 @@ def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     """
     f = as_observable(f)
     model.require("DX", "DZ")
-    if model.geometry is None and model.Y is None:
-        raise Degenerate("model has no right inverse Y")
+    if model.geometry is None:
+        model.require("Y")
     t = grid.t_end
     return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
                      vs=(v0,), sums=[weight(model, 0)],
@@ -276,7 +276,7 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
     B = hi - lo
     x_s, u_s, v_s, w_s = snap["x"], snap["u"], snap["v"], snap["w"]
     yu = apply_right_inverse(model, x_s, u_s)
-    direction = w_s - apply_dx(model, x_s, v_s, yu)
+    direction = w_s - model.apply_DX(x_s, v_s, yu)
     if not np.any(direction):
         return np.zeros(B), np.ones(B, dtype=bool)
     K_in = grid.n_steps - k_s

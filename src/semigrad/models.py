@@ -61,27 +61,26 @@ class DiffusionModel:
     """Coefficient bundle for one SDE scenario dx = X(x) dB + drift dt.
 
     Either the Ito drift ``Z`` or the Stratonovich drift ``A`` (with ``DX``)
-    must be supplied.  ``Y`` is a right inverse of X on the tangent space;
-    when omitted it is computed pointwise from X.  ``hess_h`` is the
-    covariant derivative of the drift vector field for h-Brownian systems
-    (zero when h is constant), used by the Hessian flow.
+    must be supplied.  ``hess_h`` is the covariant derivative of the drift
+    vector field for h-Brownian systems (zero when h is constant), used by
+    the Hessian flow.
 
-    Each noise coefficient has a matrix form (``X``, ``DX``, ``D2X``, ``Y``) and an
-    application to a vector (``apply_*``), which the step loops prefer.  Built-in
-    models declare the applications and derive the matrices; a custom model gives
-    the matrices, and each missing application falls back to contracting one.
+    The noise coefficients X, DX, D2X and the right inverse Y of X on the
+    tangent space are declared once each, as applications to a vector
+    (``apply_*``); the methods ``X``, ``DX``, ``D2X`` and ``Y`` build their
+    matrices from them.
     """
 
     n: int
     m: int
-    X: Callable
+    apply_X: Callable                    # (x, e) -> X(x) e
     A: Optional[Callable] = None
     Z: Optional[Callable] = None
-    DX: Optional[Callable] = None       # (x, v) -> (B, n, m)
-    D2X: Optional[Callable] = None      # (x, u, v) -> (B, n, m)
+    apply_DX: Optional[Callable] = None  # (x, v, e) -> DX(x)(v) e
+    apply_D2X: Optional[Callable] = None  # (x, u, v, e) -> D2X(x)(u, v) e
     DZ: Optional[Callable] = None       # (x, v) -> (B, n)
     D2Z: Optional[Callable] = None      # (x, u, v) -> (B, n)
-    Y: Optional[Callable] = None        # x -> (B, m, n)
+    apply_Y: Optional[Callable] = None   # (x, v) -> Y(x) v
     DY: Optional[Callable] = None       # (x, u, v) -> (B, m)
     hess_h: Optional[Callable] = None   # (x, w) -> (B, n)
     geometry: Optional[ManifoldGeometry] = None
@@ -91,10 +90,6 @@ class DiffusionModel:
     blow_up_radius: float = 1e8
     fd_derivatives: bool = False
     domain: tuple = (-2.0, 2.0)         # per-coordinate sampling box (flat models)
-    apply_X: Optional[Callable] = None   # (x, e) -> X(x) e
-    apply_DX: Optional[Callable] = None  # (x, v, e) -> DX(x)(v) e
-    apply_D2X: Optional[Callable] = None  # (x, u, v, e) -> D2X(x)(u, v) e
-    apply_Y: Optional[Callable] = None   # (x, v) -> Y(x) v
 
     def metric_dot(self, x, u, v):
         """Riemannian inner product of two (tangent) vectors, batched."""
@@ -104,8 +99,33 @@ class DiffusionModel:
 
     def require(self, *names):
         for name in names:
-            if getattr(self, name) is None:
+            field = "apply_" + name if name in _APPLIED else name
+            if getattr(self, field) is None:
                 raise MissingDerivative(f"model does not supply {name}")
+
+    def X(self, x):  # (B, n, m), as are DX and D2X
+        return self._matrix("X", self.n, self.m, x)
+
+    def DX(self, x, v):
+        return self._matrix("DX", self.n, self.m, x, v)
+
+    def D2X(self, x, u, v):
+        return self._matrix("D2X", self.n, self.m, x, u, v)
+
+    def Y(self, x):  # (B, m, n)
+        return self._matrix("Y", self.m, self.n, x)
+
+    def _matrix(self, name, rows, cols, x, *directions):
+        """Column j is the application at basis vector e_j of R^cols, broadcast to
+        the batch: a constant application may return a scalar."""
+        self.require(name)
+        apply = getattr(self, "apply_" + name)
+        shape = x.shape[:-1] + (rows,)
+        return np.stack([np.broadcast_to(apply(x, *directions, e), shape)
+                         for e in np.eye(cols)], axis=-1)
+
+
+_APPLIED = ("X", "DX", "D2X", "Y")  # the noise coefficients, declared as applications
 
 
 @dataclass
@@ -171,35 +191,24 @@ class TimeDependentCoefficients:
     Y: Optional[Callable] = None      # (t, x) -> (B, m, n)
 
 
+# apply_coeff and apply_right_inverse are the traced layers of perfbench/spans.py
 def apply_coeff(model: DiffusionModel, x, e) -> np.ndarray:
-    """X(x) applied to a noise vector, fused when the model provides it."""
-    if model.apply_X is not None:
-        return model.apply_X(x, e)
-    return np.einsum("bnm,bm->bn", model.X(x), e)
+    """X(x) applied to a noise vector."""
+    return model.apply_X(x, e)
 
 
 def apply_right_inverse(model: DiffusionModel, x, v) -> np.ndarray:
-    """Y(x) applied to a tangent vector, fused when the model provides it."""
-    if model.apply_Y is not None:
-        return model.apply_Y(x, v)
-    if model.Y is None:
-        raise MissingDerivative("model has no right inverse Y")
-    return np.einsum("bmn,bn->bm", model.Y(x), v)
+    """Y(x) applied to a tangent vector."""
+    if model.apply_Y is None:
+        raise MissingDerivative("model does not supply Y")
+    return model.apply_Y(x, v)
 
 
 def right_inverse(model: DiffusionModel, x) -> np.ndarray:
-    """Right inverse Y(x) of X(x): X Y = identity on the tangent space.
-
-    Uses the declared Y when present; otherwise computes
-    X^T (X X^T)^(-1) with a condition guard.
-    """
+    """Right inverse Y(x) of X(x): X Y = identity on the tangent space."""
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    xb = x[None, :] if squeeze else x
-    if model.Y is not None:
-        out = model.Y(xb)
-    else:
-        out = _gram_right_inverse(model.X(xb))
+    out = model.Y(x[None, :] if squeeze else x)
     return out[0] if squeeze else out
 
 
@@ -220,34 +229,28 @@ def _gram_right_inverse(Xm) -> np.ndarray:
 def make_flat_model(n, m, X, Z=None, *, A=None, DX=None, D2X=None, DZ=None,
                     D2Z=None, Y=None, DY=None, hess_h=None,
                     h_brownian=False, domain=(-2.0, 2.0), kind="flat") -> DiffusionModel:
-    """Assemble a flat-space model from batched coefficient callbacks."""
-    if Y is None:
-        Y = lambda x: _gram_right_inverse(X(x))
-    model = DiffusionModel(n=n, m=m, X=X, A=A, Z=Z, DX=DX, D2X=D2X, DZ=DZ,
-                           D2Z=D2Z, Y=Y, DY=DY, hess_h=hess_h, kind=kind,
-                           h_brownian=h_brownian, domain=domain)
-    probe = np.zeros((1, n))
-    Xm = np.asarray(model.X(probe))
+    """Assemble a flat-space model from batched coefficient callbacks.
+
+    The noise coefficients X, DX, D2X (-> (B, n, m)) and Y (-> (B, m, n)) are
+    given as matrices and stored as their applications; Y defaults to the Gram
+    right inverse X^T (X X^T)^(-1).
+    """
+    Xm = np.asarray(X(np.zeros((1, n))))
     if Xm.shape != (1, n, m):
         raise DimensionMismatch(f"X returns shape {Xm.shape}, expected (1, {n}, {m})")
-    return model
+    if Y is None:
+        Y = lambda x: _gram_right_inverse(X(x))
+    return DiffusionModel(n=n, m=m, apply_X=_applied(X), A=A, Z=Z, apply_DX=_applied(DX),
+                          apply_D2X=_applied(D2X), DZ=DZ, D2Z=D2Z, apply_Y=_applied(Y),
+                          DY=DY, hess_h=hess_h, kind=kind, h_brownian=h_brownian,
+                          domain=domain)
 
 
-def _from_applications(n, m, *, X, DX, D2X, Y) -> dict:
-    """DiffusionModel keyword arguments for noise coefficients given as applications.
-
-    Column j of each derived matrix is the application at basis vector e_j of
-    R^m (of R^n for Y), broadcast to the batch: a constant may return a scalar.
-    """
-    def matrix(apply, rows, cols):
-        def field(x, *directions):
-            shape = x.shape[:-1] + (rows,)
-            return np.stack([np.broadcast_to(apply(x, *directions, e), shape)
-                             for e in np.eye(cols)], axis=-1)
-        return field
-
-    return dict(X=matrix(X, n, m), DX=matrix(DX, n, m), D2X=matrix(D2X, n, m),
-                Y=matrix(Y, m, n), apply_X=X, apply_DX=DX, apply_D2X=D2X, apply_Y=Y)
+def _applied(matrix):
+    """The application (x, *directions, e) -> matrix(x, *directions) e, or None."""
+    if matrix is None:
+        return None
+    return lambda x, *args: np.einsum("...ij,...j->...i", matrix(x, *args[:-1]), args[-1])
 
 
 def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
@@ -268,8 +271,7 @@ def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
         kind="bm",
         h_brownian=True,
         domain=(-3.0, 3.0),
-        **_from_applications(n, n, X=X, DX=lambda x, v, e: 0.0,
-                             D2X=lambda x, u, v, e: 0.0, Y=Y),
+        apply_X=X, apply_DX=lambda x, v, e: 0.0, apply_D2X=lambda x, u, v, e: 0.0, apply_Y=Y,
     )
 
 
@@ -355,12 +357,11 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
         kind="gradient_sphere" if n > 2 else "circle",
         gradient_system=True,
         h_brownian=True,
+        apply_X=project,
+        apply_DX=lambda x, v, e: -v * dot(x, e)[..., None] - x * dot(v, e)[..., None],
+        apply_D2X=lambda x, u, v, e: -u * dot(v, e)[..., None] - v * dot(u, e)[..., None],
         # the projection is self-adjoint and idempotent, so Y = X^T = X
-        **_from_applications(
-            n, n, X=project,
-            DX=lambda x, v, e: -v * dot(x, e)[..., None] - x * dot(v, e)[..., None],
-            D2X=lambda x, u, v, e: -u * dot(v, e)[..., None] - v * dot(u, e)[..., None],
-            Y=project),
+        apply_Y=project,
     )
 
 
@@ -496,8 +497,8 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
         h_brownian=True,
         group_dim=3, mat_dim=3, noise_scale=s,
         # the frame is linear in g, so DX(g)(v) = X(v)
-        **_from_applications(9, 3, X=apply_X, DX=lambda g, v, e: apply_X(v, e),
-                             D2X=lambda g, u, v, e: 0.0, Y=apply_Y),
+        apply_X=apply_X, apply_DX=lambda g, v, e: apply_X(v, e),
+        apply_D2X=lambda g, u, v, e: 0.0, apply_Y=apply_Y,
     )
 
 
@@ -514,22 +515,22 @@ def with_fd_derivatives(model: DiffusionModel, step=1e-5) -> DiffusionModel:
     out = replace(model)
 
     def d1(fn):
-        def deriv(x, v, _fn=fn):
-            return (_fn(x + step * v) - _fn(x - step * v)) / (2 * step)
+        def deriv(x, v, *rest):
+            return (fn(x + step * v, *rest) - fn(x - step * v, *rest)) / (2 * step)
         return deriv
 
     def d2(fn):
-        def deriv(x, u, v, _fn=fn):
-            fp = d1(_fn)
-            return (fp(x + step * u, v) - fp(x - step * u, v)) / (2 * step)
+        def deriv(x, u, v, *rest):
+            fp = d1(fn)
+            return (fp(x + step * u, v, *rest) - fp(x - step * u, v, *rest)) / (2 * step)
         return deriv
 
-    if out.DX is None:
-        out.DX = d1(model.X)
+    if out.apply_DX is None:
+        out.apply_DX = d1(model.apply_X)
     if out.DZ is None and model.Z is not None:
         out.DZ = d1(model.Z)
-    if out.D2X is None:
-        out.D2X = d2(model.X)
+    if out.apply_D2X is None:
+        out.apply_D2X = d2(model.apply_X)
     if out.D2Z is None and model.Z is not None:
         out.D2Z = d2(model.Z)
     out.fd_derivatives = True

@@ -158,18 +158,16 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
 
 def stratonovich_to_ito_drift(model, x) -> np.ndarray:
     """Ito drift A(x) + 1/2 sum_i DX^i(x)(X^i(x)) of a Stratonovich model at x (n,) or (B, n)."""
-    if model.DX is None:
-        raise MissingDerivative("DX is required for the Stratonovich drift correction")
+    model.require("DX")
     x = np.asarray(x, dtype=float)
     return _stratonovich_ito_drift(model, np.atleast_2d(x)).reshape(x.shape)
 
 
 def _stratonovich_ito_drift(model, x) -> np.ndarray:
-    """A(x) + 1/2 sum_i DX(x)(X^i(x)) e_i for batched x of shape (B, n)."""
-    cols = model.X(x)  # (B, n, m)
+    """A(x) + 1/2 sum_i DX(x)(X(x) e_i) e_i for batched x of shape (B, n)."""
     acc = np.zeros(x.shape)
-    for i in range(model.m):
-        acc += model.DX(x, cols[..., i])[..., i]
+    for e in np.eye(model.m):
+        acc += model.apply_DX(x, model.apply_X(x, e), e)
     out = 0.5 * acc
     if model.A is not None:
         out = out + model.A(x)
@@ -182,8 +180,7 @@ def resolve_ito_drift(model):
         return model.Z
     if model.A is None:
         raise MissingDerivative("model supplies no drift (Z or A)")
-    if model.DX is None:
-        raise MissingDerivative("DX is required to convert the Stratonovich drift")
+    model.require("DX")
     return lambda x: _stratonovich_ito_drift(model, x)
 
 
@@ -307,7 +304,8 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
 def integrate_ito(model, x0, grid: TimeGrid, noise: np.ndarray) -> Trajectory:
     """dx = X(x) dB + Z(x) dt on one path's increments (n_steps, m), as ``simulate`` steps it."""
     x0 = variation._as_vector(model, x0)
-    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid, noise[:, None])
+    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid,
+                                                     _one_path(model, grid, noise))
     blew = not alive[0]
     return Trajectory(states[0], grid, blew, int(blow_step[0]) if blew else None)
 
@@ -328,6 +326,16 @@ def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
     def stored(k, x, dW):
         return traj.states[k + 1][None], apply_coeff(model, x, dW) if sums else None
 
-    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid, noise[:, None],
+    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid,
+                                              _one_path(model, traj.grid, noise),
                                               vs=vs, flow=flow, sums=sums, step=stored)
     return [f[0] for f in fields], [t[0] for t in totals]
+
+
+def _one_path(model, grid: TimeGrid, noise) -> np.ndarray:
+    """One path's increments (n_steps, m) as ``simulate``'s steps, each (1, m)."""
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != (grid.n_steps, model.m):
+        raise DimensionMismatch(
+            f"noise is {noise.shape}, the grid and model take {(grid.n_steps, model.m)}")
+    return noise[:, None]

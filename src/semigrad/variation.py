@@ -32,21 +32,8 @@ class VariationPath:
 # batched step kernels (x, x1 are the states before/after the same SDE step)
 
 
-def apply_dx(model, x, v, dW):
-    """DX(x)(v) applied to a noise vector, via the fused path when available."""
-    if model.apply_DX is not None:
-        return model.apply_DX(x, v, dW)
-    return np.einsum("bnm,bm->bn", model.DX(x, v), dW)
-
-
-def apply_d2x(model, x, u, v, dW):
-    if model.apply_D2X is not None:
-        return model.apply_D2X(x, u, v, dW)
-    return np.einsum("bnm,bm->bn", model.D2X(x, u, v), dW)
-
-
 def first_variation_step(model, x, x1, v, dW, dt):
-    v1 = v + apply_dx(model, x, v, dW) + model.DZ(x, v) * dt
+    v1 = v + model.apply_DX(x, v, dW) + model.DZ(x, v) * dt
     if model.geometry is not None:
         v1 = model.geometry.project_tangent(x1, v1)
     return v1
@@ -61,15 +48,15 @@ def second_variation_step(model, x, x1, u, u1, v, w, dW, dt):
     carries the curvature contribution of the covariant second variation.
     """
     dpre = (w
-            + apply_dx(model, x, w, dW) + model.DZ(x, w) * dt
-            + apply_d2x(model, x, u, v, dW)
+            + model.apply_DX(x, w, dW) + model.DZ(x, w) * dt
+            + model.apply_D2X(x, u, v, dW)
             + model.D2Z(x, u, v) * dt)
     geom = model.geometry
     if geom is None:
         return dpre
     if geom.dproject is None:
         raise MissingGeometry("second variation on a manifold needs geometry.dproject")
-    pre_v = v + apply_dx(model, x, v, dW) + model.DZ(x, v) * dt
+    pre_v = v + model.apply_DX(x, v, dW) + model.DZ(x, v) * dt
     return geom.dproject(x1, u1, pre_v) + geom.project_tangent(x1, dpre)
 
 

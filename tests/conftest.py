@@ -52,10 +52,14 @@ def make_quad_drift_model():
 
 def make_sine_noise_model(eps=0.25):
     """dx = (1 + eps sin x) dB: state-dependent noise with all derivatives."""
+    return make_flat_model(1, 1, **sine_noise_coefficients(eps))
+
+
+def sine_noise_coefficients(eps=0.25):
+    """The coefficient callbacks of ``make_sine_noise_model``, noise as matrices."""
     sig = lambda x: 1.0 + eps * np.sin(x[..., 0])
 
-    return make_flat_model(
-        1, 1,
+    return dict(
         X=lambda x: sig(x)[..., None, None],
         Z=lambda x: np.zeros_like(x),
         DX=lambda x, v: (eps * np.cos(x[..., 0]))[..., None, None] * v[..., None],

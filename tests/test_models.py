@@ -1,15 +1,17 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 import semigrad as sg
-from semigrad.errors import Degenerate, DimensionMismatch
-from semigrad.models import (apply_coeff, apply_right_inverse,
-                             axis_from_skew, check_directional_derivative,
+from semigrad.errors import Degenerate, DimensionMismatch, MissingDerivative
+from semigrad.models import (DiffusionModel, _gram_right_inverse, apply_coeff,
+                             apply_right_inverse, axis_from_skew, check_directional_derivative,
                              make_flat_model, right_inverse, rotation_exp,
                              sample_directions, sample_points, skew_from_axis,
                              with_fd_derivatives)
 
-from conftest import make_sine_noise_model
+from conftest import make_sine_noise_model, sine_noise_coefficients
 
 
 class TestRightInverse:
@@ -37,12 +39,18 @@ class TestRightInverse:
         Y = right_inverse(model, np.array([0.0]))
         assert np.allclose(Y, [[0.5], [0.5]])
 
-    def test_degenerate_raises(self):
-        model = make_flat_model(2, 2, X=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
-                                Z=lambda x: 0 * x)
-        model.Y = None
-        with pytest.raises(Degenerate):
-            right_inverse(model, np.array([0.0, 0.0]))
+    @pytest.mark.parametrize("call", ["right_inverse", "apply_right_inverse", "bel_gradient"])
+    def test_missing_right_inverse_raises_one_error(self, bm1, call):
+        # a model that declares no Y fails the same typed way wherever Y is read
+        model = replace(bm1, apply_Y=None)
+        x = np.array([[0.3]])
+        calls = {"right_inverse": lambda: right_inverse(model, x[0]),
+                 "apply_right_inverse": lambda: apply_right_inverse(model, x, x),
+                 "bel_gradient": lambda: sg.bel_gradient(
+                     model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.3], [1.0],
+                     n_paths=8, seed=0, threads=1)}
+        with pytest.raises(MissingDerivative, match="does not supply Y"):
+            calls[call]()
 
     def test_defaulted_inverse_raises_typed_error(self):
         # the Y that make_flat_model fills in carries the same singularity guard
@@ -130,6 +138,30 @@ class TestNoiseCoefficients:
                  (mat(model.Y(x), w), model.apply_Y(x, w))]
         for matrix, applied in pairs:
             assert np.max(np.abs(matrix - applied)) <= 1e-13
+
+    def test_applications_are_the_only_declaration(self):
+        names = {f.name for f in fields(DiffusionModel)}
+        assert names.isdisjoint({"X", "DX", "D2X", "Y"})
+        assert {"apply_X", "apply_DX", "apply_D2X", "apply_Y"} <= names
+
+    @pytest.mark.parametrize("case", ["sine_noise", "constant_2x3"])
+    def test_flat_matrices_equal_the_declared_ones(self, case):
+        # make_flat_model stores matrices as applications; the methods rebuild them exactly
+        if case == "sine_noise":
+            coeffs = sine_noise_coefficients()
+            model = make_flat_model(1, 1, **coeffs)
+        else:
+            C = np.array([[1.0, -0.5, 2.0], [0.25, 3.0, -1.0]])
+            X = lambda x: np.broadcast_to(C, x.shape[:-1] + (2, 3))
+            model = make_flat_model(2, 3, X=X)
+            coeffs = {"X": X, "Y": lambda x: _gram_right_inverse(X(x))}  # Y's default
+        x = sample_points(model, 16, seed=3)
+        u = sample_directions(model, x, seed=5)
+        v = sample_directions(model, x, seed=6)
+        args = {"X": (x,), "DX": (x, v), "D2X": (x, u, v), "Y": (x,)}
+        for name, c in coeffs.items():
+            if name in args:
+                assert np.array_equal(getattr(model, name)(*args[name]), c(*args[name])), name
 
     @pytest.mark.parametrize("name", ["circle", "sphere3"])
     def test_sphere_X_is_tangent_projection(self, name):

@@ -326,6 +326,17 @@ class TestIntegration:
         with pytest.raises(DimensionMismatch):
             integrate_ito(bm1, [0.0], grid, bad)
 
+    def test_noise_length_checked(self, bm1):
+        # per-path calls take exactly n_steps increments, never a prefix of longer noise
+        grid = TimeGrid(1.0, 10)
+        noise = generate_noise(grid, 0, 0, 1)
+        traj = integrate_ito(bm1, [0.0], grid, noise)
+        for bad in (generate_noise(TimeGrid(1.0, 20), 0, 0, 1), noise[:9]):
+            with pytest.raises(DimensionMismatch):
+                integrate_ito(bm1, [0.0], grid, bad)
+            with pytest.raises(DimensionMismatch):
+                variation.evolve_first_variation(bm1, traj, bad, [1.0])
+
     @pytest.mark.parametrize("sid", sg.scenario_ids())
     def test_per_path_equals_estimator_path(self, sid):
         # integrate_ito and the estimators step through the same kernel
@@ -584,6 +595,25 @@ def test_wedge_convention_has_one_home():
         signs += [(name, n, any(a <= n <= b for a, b in spans))
                   for n, line in enumerate(text.splitlines(), 1) if "(-1.0) **" in line]
     assert len(signs) == 1 and signs[0][2], signs
+
+
+def test_noise_coefficients_have_one_home():
+    # X, DX, D2X and Y are declared once, as applications: outside models.py
+    # no module checks whether an apply_* field is there
+    src = os.path.dirname(sg.__file__)
+    checks = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        if os.path.basename(path) == "models.py":
+            continue
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Attribute) and o.attr.startswith("apply_")
+                        for o in operands)
+                        and any(isinstance(o, ast.Constant) and o.value is None
+                                for o in operands)):
+                    checks.append((os.path.basename(path), node.lineno))
+    assert not checks, checks
 
 
 def test_simulate_callbacks_keep_their_contract():

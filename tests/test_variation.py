@@ -108,7 +108,7 @@ class TestSecondVariation:
     def test_missing_second_derivatives(self, bm1):
         from dataclasses import replace
 
-        model = replace(bm1, D2X=None)
+        model = replace(bm1, apply_D2X=None)
         grid = TimeGrid(0.5, 50)
         traj, noise = _path(bm1, [0.0], grid)
         u = evolve_first_variation(bm1, traj, noise, [1.0])
