@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise InvalidConfig("delta must be finite and nonzero")
         if self.n_inner < 1:
             raise InvalidConfig("n_inner must be >= 1")
+        for name in ("tol_rel", "tol_abs"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.format not in ("json", "csv"):
             raise InvalidConfig(f"format must be json or csv, got {self.format!r}")
         if self.estimator not in ESTIMATOR_IDS:

@@ -123,17 +123,15 @@ def hp_report(model, p, form="rn_ito", *, n_samples=256, seed=0) -> HpReport:
     return report
 
 
-def variation_moment(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
-                     threads=None) -> EstimatorResult:
+def variation_moment(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0) -> EstimatorResult:
     """Monte Carlo E |v_t|^p of the first-variation flow."""
     model.require("DX", "DZ")
     return _estimate(model, grid, x0,
                      lambda x, vs, sums: np.sqrt(model.metric_dot(x, vs[0], vs[0])) ** p,
-                     vs=(v0,), n_paths=n_paths, seed=seed, threads=threads)
+                     vs=(v0,), n_paths=n_paths, seed=seed)
 
 
-def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
-                       threads=None) -> BoundCheckReport:
+def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0) -> BoundCheckReport:
     """Compare E |v_t|^p against exp(c p t / 2) with c sampled from H_p.
 
     The constant k of the bound is taken as 1 (the flat-space value); the
@@ -142,8 +140,7 @@ def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
     """
     form = "rn_ito" if model.geometry is None else "manifold"
     c = hp_report(model, p, form=form, n_samples=_N_HP_SAMPLES, seed=seed).sup_estimate
-    res = variation_moment(model, grid, x0, v0, p, n_paths=n_paths, seed=seed,
-                           threads=threads)
+    res = variation_moment(model, grid, x0, v0, p, n_paths=n_paths, seed=seed)
     bound = float(np.exp(0.5 * c * p * grid.t_end))
     tol = bound * _MOMENT_SLACK + 3.0 * res.std_error
     passed = res.mean <= bound + tol
@@ -154,8 +151,7 @@ def moment_bound_check(model, grid: TimeGrid, x0, v0, p, *, n_paths, seed=0,
                  "n_hp_samples": _N_HP_SAMPLES})
 
 
-def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
-                          threads=None) -> BoundCheckReport:
+def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> BoundCheckReport:
     """Check the gradient weight has mean zero and finite second moment.
 
     Reports the Monte Carlo mean of sum_k <Y(x_k) v_k, dB_k> (manifold
@@ -172,7 +168,7 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
         return np.einsum("bm,bm->b", yv, yv) * grid.dt
 
     res = _estimate(model, grid, x0, lambda x, vs, sums: tuple(sums), vs=(v0,), n_paths=n_paths,
-                    sums=[weight(model, 0), second_moment], seed=seed, threads=threads)
+                    sums=[weight(model, 0), second_moment], seed=seed)
     n_ok = res.n_paths - res.n_rejected
     tol = 3.0 * res.std_error
     passed = abs(res.mean) <= tol and res.valid
@@ -190,7 +186,7 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
 
 
 def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
-                             n_paths, seed=0, threads=None) -> EstimatorResult:
+                             n_paths, seed=0) -> EstimatorResult:
     """Central difference of the semigroup value with common random numbers.
 
     Both perturbed starts reuse identical noise per path: a block steps its
@@ -220,8 +216,7 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
         return (values,), alive[:B] & alive[B:]
 
     meta = {"delta": delta}
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
-                      metadata=meta)
+    return _mc_scalar(model, grid, n_paths, seed, block, metadata=meta)
 
 
 def _exp_integral(alpha, t):
@@ -232,7 +227,7 @@ def _exp_integral(alpha, t):
 
 
 def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
-                            seed=0, threads=None) -> BoundCheckReport:
+                            seed=0) -> BoundCheckReport:
     """Check |gradient estimate| <= y_sup sqrt((e^(alpha t)-1)/alpha) / t * sup|f|.
 
     alpha is the sampled supremum of the p = 2 quadratic form (the Gronwall
@@ -251,8 +246,7 @@ def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
     sup_f = f.bound if f.bound is not None else float(np.max(np.abs(f(points))))
     t = grid.t_end
     bound = y_sup * np.sqrt(_exp_integral(alpha, t)) / t * sup_f
-    est = bel_gradient(model, f, grid, x0, v0, n_paths=n_paths, seed=seed,
-                       threads=threads)
+    est = bel_gradient(model, f, grid, x0, v0, n_paths=n_paths, seed=seed)
     empirical = abs(est.mean) - 3.0 * est.std_error
     passed = empirical <= bound
     return BoundCheckReport(name="gradient_sup_bound", claimed_bound=float(bound),
@@ -263,7 +257,7 @@ def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
 
 
 def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
-                       seed=0, threads=None) -> BoundCheckReport:
+                       seed=0) -> BoundCheckReport:
     """Check |P_t f|_(L^p) + |grad P_t f|_(L^p) <= (1 + k/t) |f|_(L^p).
 
     Compact built-ins only: the circle uses uniform-angle quadrature, the
@@ -288,17 +282,16 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
         v = sample_directions(model, x[None], seed + 5)[0]
         k_sq = max(k_sq, _variation_l2_integral(model, grid, x, v,
                                                 n_paths=max(2000, n_paths // 20),
-                                                seed=seed, threads=threads))
+                                                seed=seed))
     k = float(np.sqrt(k_sq))
 
     values = np.empty(len(points))
     grads = np.empty(len(points))
     for i, x in enumerate(points):
-        values[i] = semigroup_value(model, f, grid, x, n_paths=n_paths, seed=seed,
-                                    threads=threads).mean
+        values[i] = semigroup_value(model, f, grid, x, n_paths=n_paths, seed=seed).mean
         frame = tangent_frame(model, x)
-        comps = [bel_gradient(model, f, grid, x, tau, n_paths=n_paths, seed=seed,
-                              threads=threads).mean for tau in frame]
+        comps = [bel_gradient(model, f, grid, x, tau, n_paths=n_paths, seed=seed).mean
+                 for tau in frame]
         grads[i] = float(np.linalg.norm(comps))
 
     fvals = np.abs(f(points))
@@ -318,17 +311,16 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
                                      "f_norm": fnorm})
 
 
-def _variation_l2_integral(model, grid, x0, v0, *, n_paths, seed, threads=None):
+def _variation_l2_integral(model, grid, x0, v0, *, n_paths, seed):
     """Monte Carlo integral_0^t E |v_s|^2 ds along the flow."""
     def square_norm(k, x, x_dB, dW, vs):
         return model.metric_dot(x, vs[0], vs[0]) * grid.dt
 
     return _estimate(model, grid, x0, lambda x, vs, sums: sums[0], vs=(v0,),
-                     sums=[square_norm], n_paths=n_paths, seed=seed, threads=threads).mean
+                     sums=[square_norm], n_paths=n_paths, seed=seed).mean
 
 
-def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
-                         seed=0, threads=None):
+def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths, seed=0):
     """Pathwise residual of the exact-form line-integral identity.
 
     For phi = df the line integral must telescope to f(x_t) - f(x_0) up to
@@ -356,14 +348,13 @@ def exact_form_residuals(model, f, codiff, grid: TimeGrid, x0, *, n_paths,
         resid = np.abs(line - (f(x) - f0))
         return resid, 1.0 + scale, alive
 
-    blocks = _map_paths(model, grid, n_paths, block, threads)
+    blocks = _map_paths(model, grid, n_paths, block)
     residuals = np.concatenate([b[0][b[2]] for b in blocks])
     scales = np.concatenate([b[1][b[2]] for b in blocks])
     return residuals, scales
 
 
-def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
-                         threads=None) -> float:
+def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0) -> float:
     """Max constraint residual over all steps of all paths."""
     if model.geometry is None:
         return 0.0
@@ -383,7 +374,7 @@ def constraint_violation(model, grid: TimeGrid, x0, *, n_paths, seed=0,
                  NoiseStream(grid, seed, lo, hi, model.m), hook=track)
         return worst
 
-    return max(_map_paths(model, grid, n_paths, block, threads))
+    return max(_map_paths(model, grid, n_paths, block))
 
 
 def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:

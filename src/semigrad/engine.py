@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +25,12 @@ DEFAULT_BLOCK_SIZE = 2048
 # reduction tree, so changing this moves the bits of every mean.
 _NOISE_BLOCK_BYTES = 256 * 2 ** 20
 
-_FORK_FN = None
-_FORK_LOCK = threading.Lock()
+_FORK_FN = None  # a fork worker's block function, set by the pool initializer
+
+
+def _install(block_fn):
+    global _FORK_FN
+    _FORK_FN = block_fn
 
 
 def _call_fork_fn(bounds):
@@ -51,15 +54,17 @@ def default_block_size(n_steps: int, m: int) -> int:
 
 
 def resolve_threads(threads=None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SEMIGRAD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidConfig(f"SEMIGRAD_THREADS must be an integer, got {env!r}") from None
-    return min(4, os.cpu_count() or 1)
+    """Worker count: ``threads`` if given, else ``SEMIGRAD_THREADS``, else min(4, cores)."""
+    value = threads if threads is not None else os.environ.get("SEMIGRAD_THREADS")
+    if value is None or value == "":
+        return min(4, os.cpu_count() or 1)
+    try:
+        workers = int(value)
+    except (TypeError, ValueError):
+        workers = 0
+    if workers < 1:
+        raise InvalidConfig(f"SEMIGRAD_THREADS must be an integer >= 1, got {value!r}")
+    return workers
 
 
 def block_ranges(n_paths: int, block_size: int = DEFAULT_BLOCK_SIZE):
@@ -74,15 +79,9 @@ def map_blocks(n_paths: int, block_fn, *, threads=None,
     workers = min(resolve_threads(threads), len(ranges))
     if workers <= 1 or multiprocessing.get_start_method(allow_none=False) != "fork":
         return [block_fn(lo, hi) for lo, hi in ranges]
-    global _FORK_FN
-    with _FORK_LOCK:
-        _FORK_FN = block_fn
-        try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool:
-                return pool.map(_call_fork_fn, ranges, chunksize=1)
-        finally:
-            _FORK_FN = None
+    # a forked worker inherits the initializer's arguments unpickled
+    with multiprocessing.get_context("fork").Pool(workers, _install, (block_fn,)) as pool:
+        return pool.map(_call_fork_fn, ranges, chunksize=1)
 
 
 class Moments(NamedTuple):

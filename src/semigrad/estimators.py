@@ -105,22 +105,21 @@ def _count(name, value) -> int:
     return n
 
 
-def _map_paths(model, grid, n_paths, block_fn, threads) -> list:
+def _map_paths(model, grid, n_paths, block_fn) -> list:
     """block_fn(lo, hi) over the path partition every estimator shares."""
-    return engine.map_blocks(_count("n_paths", n_paths), block_fn, threads=threads,
+    return engine.map_blocks(_count("n_paths", n_paths), block_fn,
                              block_size=engine.default_block_size(grid.n_steps, model.m))
 
 
-def _mc_scalar(model, grid, n_paths, seed, block_fn, *, threads=None,
-               metadata=None) -> EstimatorResult:
+def _mc_scalar(model, grid, n_paths, seed, block_fn, *, metadata=None) -> EstimatorResult:
     """Reduce block_fn(lo, hi) -> (columns, ok) over all paths; the mean is column 0's."""
     blocks = _map_paths(model, grid, n_paths,
-                        lambda lo, hi: engine.scalar_stats(*block_fn(lo, hi)), threads)
+                        lambda lo, hi: engine.scalar_stats(*block_fn(lo, hi)))
     *columns, n_rej = engine.combine_scalar(blocks)
     return _result_from_sums(model, columns, n_rej, seed, grid, metadata)
 
 
-def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=None,
+def _estimate(model, grid, x0, endpoint, *, n_paths, seed, metadata=None,
               **spec) -> EstimatorResult:
     """Mean of endpoint(x_t, v_t, sums) over paths stepped by ``simulate(**spec)``.
 
@@ -136,24 +135,21 @@ def _estimate(model, grid, x0, endpoint, *, n_paths, seed, threads, metadata=Non
         columns = endpoint(x, vs, sums)
         return columns if isinstance(columns, tuple) else (columns,), alive
 
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
-                      metadata=metadata)
+    return _mc_scalar(model, grid, n_paths, seed, block, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
 # plain semigroup value and the two first-derivative estimators
 
 
-def semigroup_value(model, f, grid: TimeGrid, x0, *, n_paths, seed=0,
-                    threads=None) -> EstimatorResult:
+def semigroup_value(model, f, grid: TimeGrid, x0, *, n_paths, seed=0) -> EstimatorResult:
     """Estimate the semigroup value E f(x_t) started at x0."""
     f = as_observable(f)
     return _estimate(model, grid, x0, lambda x, vs, sums: f(x),
-                     n_paths=n_paths, seed=seed, threads=threads)
+                     n_paths=n_paths, seed=seed)
 
 
-def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
-                      threads=None) -> EstimatorResult:
+def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> EstimatorResult:
     """Estimate E df(x_t)(v_t) with v the first-variation flow (needs df)."""
     f = as_observable(f)
     if f.df is None:
@@ -161,11 +157,10 @@ def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     model.require("DX", "DZ")
     return _estimate(model, grid, x0,
                      lambda x, vs, sums: np.einsum("bn,bn->b", f.df(x), vs[0]),
-                     vs=(v0,), n_paths=n_paths, seed=seed, threads=threads)
+                     vs=(v0,), n_paths=n_paths, seed=seed)
 
 
-def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
-                 threads=None) -> EstimatorResult:
+def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> EstimatorResult:
     """Derivative-free gradient estimator.
 
     Per path accumulates f(x_t) * (1/t) * sum_k <Y(x_k) v_k, dB_k> on flat
@@ -179,7 +174,7 @@ def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     t = grid.t_end
     return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
                      vs=(v0,), sums=[weight(model, 0)],
-                     n_paths=n_paths, seed=seed, threads=threads)
+                     n_paths=n_paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +182,7 @@ def bel_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
 
 
 def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
-                n_paths, seed=0, threads=None, n_inner=8) -> EstimatorResult:
+                n_paths, seed=0, n_inner=8) -> EstimatorResult:
     """Second-derivative estimator with the time split at t/2.
 
     variant="weights": three stochastic-integral weights under f(x_t); needs
@@ -262,8 +257,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
     meta = {"variant": variant}
     if variant == "nested":
         meta["n_inner"] = n_inner
-    return _mc_scalar(model, grid, n_paths, seed, block, threads=threads,
-                      metadata=meta)
+    return _mc_scalar(model, grid, n_paths, seed, block, metadata=meta)
 
 
 def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
@@ -301,8 +295,7 @@ def _nested_correction(model, f, grid, seed, lo, hi, k_s, snap, n_inner):
 
 
 def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
-                       n_paths, seed=0, threads=None,
-                       time_coeffs: Optional[TimeDependentCoefficients] = None
+                       n_paths, seed=0, time_coeffs: Optional[TimeDependentCoefficients] = None
                        ) -> EstimatorResult:
     """Gradient of the potential semigroup via the Feynman-Kac weight.
 
@@ -364,15 +357,14 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
         return f(x) * np.exp(vsum) * (wsum + (dvsum[0] if dvsum else 0.0)) / t
 
     return _estimate(model, grid, x0, endpoint, vs=(v0,), sums=sums, **stepping,
-                     n_paths=n_paths, seed=seed, threads=threads)
+                     n_paths=n_paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # Hessian-flow gradient (damped transport weight, works for measurable f)
 
 
-def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
-                          threads=None) -> EstimatorResult:
+def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> EstimatorResult:
     """Gradient estimator with the Hessian flow replacing the variation flow."""
     f = as_observable(f)
     if model.geometry is not None and not model.h_brownian:
@@ -381,7 +373,7 @@ def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
     return _estimate(model, grid, x0, lambda x, vs, sums: f(x) * sums[0] / t,
                      vs=(v0,), flow=hessian_flow(model, grid.dt),
                      sums=[weight(model, 0, metric=True)],
-                     n_paths=n_paths, seed=seed, threads=threads)
+                     n_paths=n_paths, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ def hessian_flow_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0,
 
 
 def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
-                   n_paths, seed=0, threads=None) -> EstimatorResult:
+                   n_paths, seed=0) -> EstimatorResult:
     """Directional transition-density score <grad log p_t(., y)(x0), v0>.
 
     Conditioning on x_t = y is realized by a bandwidth kernel around y; the
@@ -408,7 +400,7 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
         return kw, kw * kw, kw * vals, kw * vals * vals
 
     res = _estimate(model, grid, x0, endpoint, vs=(v0,), sums=[weight(model, 0)],
-                    n_paths=n_paths, seed=seed, threads=threads)
+                    n_paths=n_paths, seed=seed)
     sw, sw2, swv, swv2 = (c.total for c in res.columns)
     if sw <= 0:
         raise EmptyBin(f"no paths within bandwidth {bins.bandwidth} of target")
@@ -429,8 +421,7 @@ def score_gradient(model, grid: TimeGrid, x0, v0, bins: ConditionalBinSpec, *,
 # Lie group estimator
 
 
-def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0,
-                       threads=None) -> EstimatorResult:
+def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0) -> EstimatorResult:
     """Gradient at the group identity via the adjoint-transported weight.
 
     v0_alg is given in orthonormal Lie-algebra coordinates; the weight pairs
@@ -455,4 +446,4 @@ def lie_group_gradient(model, f, grid: TimeGrid, v0_alg, *, n_paths, seed=0,
 
     return _estimate(model, grid, np.eye(model.mat_dim).reshape(-1),
                      lambda x, vs, sums: f(x) * sums[0] / t, sums=[adjoint_weight],
-                     step=group_step, n_paths=n_paths, seed=seed, threads=threads)
+                     step=group_step, n_paths=n_paths, seed=seed)

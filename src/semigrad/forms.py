@@ -139,16 +139,15 @@ def line_integral_step(form: FormField, grid: TimeGrid, rest):
 
 
 def one_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0, *,
-                       n_paths, seed=0, threads=None) -> EstimatorResult:
+                       n_paths, seed=0) -> EstimatorResult:
     """Heat semigroup on a closed 1-form evaluated at (x0, v0)."""
     if form.degree != 1:
         raise DegreeMismatch("one_form_semigroup needs a 1-form")
-    return q_form_semigroup(model, form, grid, x0, (v0,), n_paths=n_paths,
-                            seed=seed, threads=threads)
+    return q_form_semigroup(model, form, grid, x0, (v0,), n_paths=n_paths, seed=seed)
 
 
 def q_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0s, *,
-                     n_paths, seed=0, threads=None) -> EstimatorResult:
+                     n_paths, seed=0) -> EstimatorResult:
     """Heat semigroup on a closed q-form evaluated on q tangent vectors.
 
     Per path: Psi(.) = sum_k <X(x_k) dB_k, v_k(.)> and the (q-1)-form line
@@ -175,12 +174,12 @@ def q_form_semigroup(model, form: FormField, grid: TimeGrid, x0, v0s, *,
     return _estimate(model, grid, x0, endpoint, vs=v0s,
                      sums=[weight(model, i, metric=True) for i in range(q)]
                      + [line_integral_step(form, grid, rest) for rest in rests],
-                     n_paths=n_paths, seed=seed, threads=threads,
+                     n_paths=n_paths, seed=seed,
                      metadata={"form": form.name, "degree": q})
 
 
 def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
-                           n_paths, seed=0, threads=None) -> EstimatorResult:
+                           n_paths, seed=0) -> EstimatorResult:
     """Exterior derivative of the (q-1)-form semigroup, d(P_t phi), on q vectors.
 
     Per path wedges Psi with the endpoint pullback phi(x_t)(v_t(.)); for
@@ -201,7 +200,7 @@ def form_exterior_gradient(model, form: FormField, grid: TimeGrid, x0, v0s, *,
 
     return _estimate(model, grid, x0, endpoint, vs=v0s,
                      sums=[weight(model, i, metric=True) for i in range(q)],
-                     n_paths=n_paths, seed=seed, threads=threads,
+                     n_paths=n_paths, seed=seed,
                      metadata={"form": form.name, "degree": q})
 
 

@@ -342,10 +342,7 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
         raise DimensionMismatch("sphere models need ambient dimension n >= 2")
     c = 0.5 * (n - 1)
     dot = make_dot(n)
-
-    def project(x, e):
-        return e - dot(x, e)[..., None] * x
-
+    geometry = _sphere_geometry(n)
     return DiffusionModel(
         n=n, m=n,
         A=lambda x: np.zeros_like(x),
@@ -353,15 +350,15 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
         DZ=lambda x, v: -c * v,
         D2Z=lambda x, u, v: np.zeros_like(u),
         hess_h=lambda x, w: np.zeros_like(w),
-        geometry=_sphere_geometry(n),
+        geometry=geometry,
         kind="gradient_sphere" if n > 2 else "circle",
         gradient_system=True,
         h_brownian=True,
-        apply_X=project,
-        apply_DX=lambda x, v, e: -v * dot(x, e)[..., None] - x * dot(v, e)[..., None],
+        apply_X=geometry.project_tangent,
+        apply_DX=geometry.dproject,
         apply_D2X=lambda x, u, v, e: -u * dot(v, e)[..., None] - v * dot(u, e)[..., None],
         # the projection is self-adjoint and idempotent, so Y = X^T = X
-        apply_Y=project,
+        apply_Y=geometry.project_tangent,
     )
 
 

@@ -6,6 +6,12 @@ from semigrad import (make_bm_model, make_gradient_sphere_model,
 from semigrad.models import make_flat_model
 
 
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Compute every block in this process: SEMIGRAD_THREADS=1."""
+    monkeypatch.setenv("SEMIGRAD_THREADS", "1")
+
+
 @pytest.fixture(scope="session")
 def bm1():
     return make_bm_model(1)

@@ -99,6 +99,14 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig, match=f"{key} must be an integer"):
             _cfg(**{key: val})
 
+    @pytest.mark.parametrize("key,val", [("tol_rel", "nan"), ("tol_abs", "nan"),
+                                         ("tol_rel", -1.0), ("tol_abs", "-0.5"),
+                                         ("tol_abs", "inf"), ("tol_rel", float("inf"))])
+    def test_tolerance_must_be_finite_and_non_negative(self, key, val):
+        # an infinite tolerance passes every row and a NaN one is never read
+        with pytest.raises(InvalidConfig, match=key):
+            _cfg(**{key: val})
+
     @pytest.mark.parametrize("seed", [-1, "-1", 2 ** 64, str(2 ** 64)])
     def test_seed_out_of_range_rejected(self, seed):
         with pytest.raises(InvalidConfig, match="seed"):
@@ -253,6 +261,20 @@ class TestMainEntry:
                             "n_paths=100\nn_steps=10\n")
         assert main(["run", "--config", str(cfg_file), flag, "0"]) == 1
         assert ("n_paths" if flag == "--paths" else "n_steps") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_rejected(self, tmp_path, capsys, monkeypatch, workers):
+        # a count below 1 used to run one worker silently
+        with pytest.raises(InvalidConfig, match="SEMIGRAD_THREADS"):
+            resolve_threads(int(workers))
+        monkeypatch.setenv("SEMIGRAD_THREADS", workers)
+        with pytest.raises(InvalidConfig, match="SEMIGRAD_THREADS"):
+            resolve_threads()
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("scenario=bm1d\nestimator=bel_gradient\nf=sin\n"
+                            "n_paths=100\nn_steps=10\n")
+        assert main(["run", "--config", str(cfg_file)]) == 1
+        assert "SEMIGRAD_THREADS" in capsys.readouterr().err
 
     def test_non_integer_threads_env_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SEMIGRAD_THREADS", "two")

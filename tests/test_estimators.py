@@ -326,6 +326,7 @@ class TestScoreGradient:
         with pytest.raises(InvalidConfig, match="bandwidth"):
             ConditionalBinSpec(target=np.array([1.0]), bandwidth=bandwidth)
 
+    @pytest.mark.usefixtures("one_worker")
     def test_metadata_matches_other_estimators(self):
         # blow-up accounting and the finite-difference warning are shared
         from semigrad.models import make_flat_model, with_fd_derivatives
@@ -335,31 +336,30 @@ class TestScoreGradient:
         fd.blow_up_radius = 1.5
         bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
         grid = TimeGrid(1.0, 50)
-        r = sg.score_gradient(fd, grid, [0.0], [1.0], bins, n_paths=1000, seed=32,
-                              threads=1)
+        r = sg.score_gradient(fd, grid, [0.0], [1.0], bins, n_paths=1000, seed=32)
         assert r.n_rejected > 0
         assert r.metadata["blowup_fraction"] == r.n_rejected / r.n_paths
         assert r.metadata["invalid"]
         assert any("finite-difference" in w for w in r.metadata["warnings"])
         assert any("blow-up radius" in w for w in r.metadata["warnings"])
 
+    @pytest.mark.usefixtures("one_worker")
     def test_dead_paths_leave_every_column(self):
         # the four kernel columns are reduced over the survivors, like any estimator's
         model = make_cubic_blowup_model()
         grid = TimeGrid(1.0, 100)
         bins = ConditionalBinSpec(target=np.array([0.5]), bandwidth=0.5)
-        r = sg.score_gradient(model, grid, [1.0], [1.0], bins, n_paths=3000, seed=34, threads=1)
-        v = sg.semigroup_value(model, lambda x: x[..., 0], grid, [1.0], n_paths=3000, seed=34,
-                               threads=1)
+        r = sg.score_gradient(model, grid, [1.0], [1.0], bins, n_paths=3000, seed=34)
+        v = sg.semigroup_value(model, lambda x: x[..., 0], grid, [1.0], n_paths=3000, seed=34)
         assert r.n_rejected == v.n_rejected > 0
         assert len(r.columns) == 4
         assert all(c.n == r.n_paths - r.n_rejected for c in r.columns)
         assert r.metadata["in_bin_weight"] == r.columns[0].total
 
+    @pytest.mark.usefixtures("one_worker")
     def test_metadata_without_rejections(self, bm1):
         bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
-        r = sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=33,
-                              threads=1)
+        r = sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=33)
         assert r.metadata["blowup_fraction"] == 0.0
         assert r.valid and "warnings" not in r.metadata
 
@@ -429,28 +429,28 @@ class TestResultContract:
     @pytest.mark.parametrize("name", ["score_gradient", "martingale_mean_check",
                                       "bel_hessian_weights", "bel_hessian_nested",
                                       "finite_difference_oracle"])
-    def test_multi_column_worker_count_invariance(self, name):
+    def test_multi_column_worker_count_invariance(self, name, monkeypatch):
         # three blocks at 10 steps; the cubic model makes n_rejected non-zero
         grid = TimeGrid(1.0, 10)
         n = 2 * sg.engine.default_block_size(grid.n_steps, 1) + 1000
         cubic, sine = make_cubic_blowup_model(), make_sine_noise_model()
         bins = ConditionalBinSpec(target=np.array([1.0]), bandwidth=0.5)
         run = {
-            "score_gradient": lambda threads: sg.score_gradient(
-                cubic, grid, [1.0], [1.0], bins, n_paths=n, seed=45, threads=threads),
-            "martingale_mean_check": lambda threads: sg.martingale_mean_check(
-                cubic, grid, [1.0], [1.0], n_paths=n, seed=46, threads=threads),
-            "bel_hessian_weights": lambda threads: sg.bel_hessian(
-                sine, sin_obs(), grid, [0.3], [1.0], [1.0], n_paths=n, seed=47,
-                threads=threads),
-            "bel_hessian_nested": lambda threads: sg.bel_hessian(
-                sine, sin_obs(), grid, [0.3], [1.0], [1.0], variant="nested", n_paths=n,
-                seed=47, threads=threads),
-            "finite_difference_oracle": lambda threads: sg.finite_difference_oracle(
-                cubic, lambda x: np.tanh(x[..., 0]), grid, [1.0], [1.0], n_paths=n, seed=48,
-                threads=threads),
+            "score_gradient": lambda: sg.score_gradient(
+                cubic, grid, [1.0], [1.0], bins, n_paths=n, seed=45),
+            "martingale_mean_check": lambda: sg.martingale_mean_check(
+                cubic, grid, [1.0], [1.0], n_paths=n, seed=46),
+            "bel_hessian_weights": lambda: sg.bel_hessian(
+                sine, sin_obs(), grid, [0.3], [1.0], [1.0], n_paths=n, seed=47),
+            "bel_hessian_nested": lambda: sg.bel_hessian(
+                sine, sin_obs(), grid, [0.3], [1.0], [1.0], variant="nested", n_paths=n, seed=47),
+            "finite_difference_oracle": lambda: sg.finite_difference_oracle(
+                cubic, lambda x: np.tanh(x[..., 0]), grid, [1.0], [1.0], n_paths=n, seed=48),
         }[name]
-        one, two = run(1), run(2)
+        monkeypatch.setenv("SEMIGRAD_THREADS", "1")
+        one = run()
+        monkeypatch.setenv("SEMIGRAD_THREADS", "2")
+        two = run()
         if name == "martingale_mean_check":
             assert one.details == two.details and one.empirical == two.empirical
             assert one.details["blowup_fraction"] > 0
@@ -459,10 +459,11 @@ class TestResultContract:
                 two.mean, two.std_error, two.n_rejected)
             assert one.columns == two.columns
 
+    @pytest.mark.usefixtures("one_worker")
     def test_columns_hold_the_mean(self):
         model = make_cubic_blowup_model()
         r = sg.semigroup_value(model, lambda x: np.tanh(x[..., 0]), TimeGrid(1.0, 100), [1.0],
-                               n_paths=3000, seed=49, threads=1)
+                               n_paths=3000, seed=49)
         n_ok = r.n_paths - r.n_rejected
         assert r.n_rejected > 0 and len(r.columns) == 1
         assert r.columns[0].n == n_ok

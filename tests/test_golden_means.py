@@ -50,7 +50,7 @@ def _form_gradient_q1():
     sc, model = _scenario("circle")
     zf = forms.zero_form_from_observable(sc.observables["sin"])
     return _result(forms.form_exterior_gradient(model, zf, GRID, sc.x0, (sc.v0,),
-                                                n_paths=N_PATHS, seed=3, threads=1))
+                                                n_paths=N_PATHS, seed=3))
 
 
 def _form_gradient_q2():
@@ -58,23 +58,22 @@ def _form_gradient_q2():
     form = forms.exact_one_form(sc.observables["sin"])
     return _result(forms.form_exterior_gradient(model, form, GRID, sc.x0,
                                                 (sc.u0, sc.v0), n_paths=N_PATHS,
-                                                seed=4, threads=1))
+                                                seed=4))
 
 
 def _manifold_hessian():
     sc, model = _scenario("sphere3")
     return _result(estimators.bel_hessian(model, sc.observables["height"], GRID,
                                           sc.x0, sc.u0, sc.v0, variant="weights",
-                                          n_paths=N_PATHS, seed=5, threads=1))
+                                          n_paths=N_PATHS, seed=5))
 
 
-def _flat_hessian(variant, n_paths=N_PATHS, threads=1):
+def _flat_hessian(variant, n_paths=N_PATHS):
     def run():
         model = make_sine_noise_model()
         return _result(estimators.bel_hessian(model, lambda x: np.sin(x[..., 0]), GRID,
                                               [0.3], [1.0], [1.0], variant=variant,
-                                              n_paths=n_paths, seed=15, threads=threads,
-                                              n_inner=3))
+                                              n_paths=n_paths, seed=15, n_inner=3))
     return run
 
 
@@ -82,7 +81,7 @@ def _circle_finite_difference():
     sc, model = _scenario("circle")
     return _result(diagnostics.finite_difference_oracle(
         model, sc.observables["sin"], GRID, sc.x0, sc.v0, delta=1e-2,
-        n_paths=N_PATHS, seed=16, threads=1))
+        n_paths=N_PATHS, seed=16))
 
 
 def _circle_score():
@@ -90,7 +89,7 @@ def _circle_score():
     bins = estimators.ConditionalBinSpec(target=np.array([0.0, 1.0]), bandwidth=0.5,
                                          kernel="gaussian")
     return _result(estimators.score_gradient(model, GRID, sc.x0, sc.v0, bins,
-                                             n_paths=N_PATHS, seed=17, threads=1))
+                                             n_paths=N_PATHS, seed=17))
 
 
 def _manifold_potential():
@@ -100,7 +99,7 @@ def _manifold_potential():
                        upper_bound=0.4)
     return _result(estimators.potential_gradient(model, sc.observables["height"], V,
                                                  GRID, sc.x0, sc.v0,
-                                                 n_paths=N_PATHS, seed=6, threads=1))
+                                                 n_paths=N_PATHS, seed=6))
 
 
 def _time_coeffs_potential():
@@ -116,21 +115,21 @@ def _time_coeffs_potential():
                        upper_bound=0.2)
     return _result(estimators.potential_gradient(model, sc.observables["sin"], V,
                                                  GRID, [0.3], [1.0],
-                                                 n_paths=N_PATHS, seed=7, threads=1,
+                                                 n_paths=N_PATHS, seed=7,
                                                  time_coeffs=tc))
 
 
 def _variation_moment():
     model = make_sine_noise_model()
     return _result(diagnostics.variation_moment(model, GRID, [0.2], [1.0], 3,
-                                                n_paths=N_PATHS, seed=8, threads=1))
+                                                n_paths=N_PATHS, seed=8))
 
 
 def _martingale(sid, x0, v0):
     def run():
         model = make_sine_noise_model() if sid is None else sg.get_scenario(sid).make()
         rep = diagnostics.martingale_mean_check(model, GRID, x0, v0,
-                                                n_paths=N_PATHS, seed=9, threads=1)
+                                                n_paths=N_PATHS, seed=9)
         return _pin(rep.empirical, rep.details["std_error"],
                     rep.details["second_moment_integral"])
     return run
@@ -139,8 +138,7 @@ def _martingale(sid, x0, v0):
 def _variation_l2():
     sc, model = _scenario("sphere3")
     return _pin(diagnostics._variation_l2_integral(model, GRID, sc.x0, sc.v0,
-                                                   n_paths=N_PATHS, seed=10,
-                                                   threads=1))
+                                                   n_paths=N_PATHS, seed=10))
 
 
 def _exact_form(sid, codiff):
@@ -148,7 +146,7 @@ def _exact_form(sid, codiff):
         sc, model = _scenario(sid)
         resid, scales = diagnostics.exact_form_residuals(
             model, sc.observables["sin"], codiff, GRID, sc.x0,
-            n_paths=N_PATHS, seed=11, threads=1)
+            n_paths=N_PATHS, seed=11)
         return _pin(np.sum(resid), np.sum(scales), resid.size)
     return run
 
@@ -156,23 +154,30 @@ def _exact_form(sid, codiff):
 def _constraint():
     sc, model = _scenario("sphere3")
     return _pin(diagnostics.constraint_violation(model, GRID, sc.x0,
-                                                 n_paths=N_PATHS, seed=12, threads=1))
+                                                 n_paths=N_PATHS, seed=12))
 
 
 def _blow_up():
     sc, model = _scenario("bm1d")
     model.blow_up_radius = 1.0
     return _result(estimators.bel_gradient(model, sc.observables["sin"], GRID,
-                                           [0.0], [1.0], n_paths=N_PATHS, seed=13,
-                                           threads=1))
+                                           [0.0], [1.0], n_paths=N_PATHS, seed=13))
 
 
 def _two_blocks():
     sc, model = _scenario("bm1d")
     n = sg.engine.default_block_size(GRID.n_steps, model.m) + N_PATHS
     return _result(estimators.bel_gradient(model, sc.observables["sin"], GRID,
-                                           [0.0], [1.0], n_paths=n, seed=14,
-                                           threads=2))
+                                           [0.0], [1.0], n_paths=n, seed=14))
+
+
+def _workers(n, run):
+    """``run`` at n workers; ``test_golden`` runs every other case at one."""
+    def at_n():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("SEMIGRAD_THREADS", str(n))
+            return run()
+    return at_n
 
 
 def _so3(run_case):
@@ -185,8 +190,7 @@ def _so3(run_case):
 
 
 def _so3_martingale(model, f, g0, v):
-    rep = diagnostics.martingale_mean_check(model, GRID, g0, v, n_paths=N_PATHS, seed=20,
-                                            threads=1)
+    rep = diagnostics.martingale_mean_check(model, GRID, g0, v, n_paths=N_PATHS, seed=20)
     return _pin(rep.empirical, rep.details["std_error"],
                 rep.details["second_moment_integral"])
 
@@ -202,7 +206,7 @@ def _cases():
         "bel_hessian-weights-sphere3": _manifold_hessian,
         "bel_hessian-weights-sine": _flat_hessian("weights"),
         "bel_hessian-nested-sine": _flat_hessian("nested"),
-        "bel_hessian-nested-two_blocks": _flat_hessian("nested", 16384 + N_PATHS, 2),
+        "bel_hessian-nested-two_blocks": _workers(2, _flat_hessian("nested", 16384 + N_PATHS)),
         "finite_difference-circle": _circle_finite_difference,
         "score_gradient-circle-gaussian": _circle_score,
         "potential_gradient-sphere3": _manifold_potential,
@@ -216,16 +220,16 @@ def _cases():
         "exact_form_residuals-bm1d": _exact_form("bm1d", lambda x: np.sin(x[..., 0])),
         "constraint_violation": _constraint,
         "blow_up": _blow_up,
-        "two_blocks_two_workers": _two_blocks,
+        "two_blocks_two_workers": _workers(2, _two_blocks),
         "so3-bel_gradient": _so3(lambda model, f, g0, v: _result(estimators.bel_gradient(
-            model, f, GRID, g0, v, n_paths=N_PATHS, seed=18, threads=1))),
+            model, f, GRID, g0, v, n_paths=N_PATHS, seed=18))),
         "so3-finite_difference": _so3(lambda model, f, g0, v: _result(
             diagnostics.finite_difference_oracle(model, f, GRID, g0, v, delta=1e-2,
-                                                 n_paths=N_PATHS, seed=19, threads=1))),
+                                                 n_paths=N_PATHS, seed=19))),
         "so3-martingale_mean_check": _so3(_so3_martingale),
         "so3-hessian_flow_gradient": _so3(lambda model, f, g0, v: _result(
             estimators.hessian_flow_gradient(model, f, GRID, g0, v, n_paths=N_PATHS,
-                                             seed=21, threads=1))),
+                                             seed=21))),
     })
     return cases
 

@@ -40,6 +40,7 @@ class TestRightInverse:
         assert np.allclose(Y, [[0.5], [0.5]])
 
     @pytest.mark.parametrize("call", ["right_inverse", "apply_right_inverse", "bel_gradient"])
+    @pytest.mark.usefixtures("one_worker")
     def test_missing_right_inverse_raises_one_error(self, bm1, call):
         # a model that declares no Y fails the same typed way wherever Y is read
         model = replace(bm1, apply_Y=None)
@@ -48,10 +49,11 @@ class TestRightInverse:
                  "apply_right_inverse": lambda: apply_right_inverse(model, x, x),
                  "bel_gradient": lambda: sg.bel_gradient(
                      model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.3], [1.0],
-                     n_paths=8, seed=0, threads=1)}
+                     n_paths=8, seed=0)}
         with pytest.raises(MissingDerivative, match="does not supply Y"):
             calls[call]()
 
+    @pytest.mark.usefixtures("one_worker")
     def test_defaulted_inverse_raises_typed_error(self):
         # the Y that make_flat_model fills in carries the same singularity guard
         model = make_flat_model(2, 2, X=lambda x: np.zeros(x.shape[:-1] + (2, 2)),
@@ -61,7 +63,7 @@ class TestRightInverse:
             right_inverse(model, np.array([0.0, 0.0]))
         with pytest.raises(Degenerate):
             sg.bel_gradient(model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.0, 0.0],
-                            [1.0, 0.0], n_paths=8, seed=0, threads=1)
+                            [1.0, 0.0], n_paths=8, seed=0)
 
 
 class TestBuiltinIdentities:

@@ -233,13 +233,14 @@ class TestNoiseContract:
         with pytest.raises(InvalidConfig, match="seed"):
             calls[call]()
 
+    @pytest.mark.usefixtures("one_worker")
     def test_stream_holds_no_block_of_noise(self):
         # 4096 paths x 1000 steps of noise are 32.8 MB; the stream keeps a few MB
         sc = sg.get_scenario("bm1d")
         tracemalloc.start()
         try:
             estimators.bel_gradient(sc.make(), sc.observables["sin"], TimeGrid(1.0, 1000),
-                                    [0.0], [1.0], n_paths=4096, seed=1, threads=1)
+                                    [0.0], [1.0], n_paths=4096, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -247,6 +248,7 @@ class TestNoiseContract:
 
     @pytest.mark.parametrize("call", ["bel_hessian_weights", "bel_hessian_nested",
                                       "finite_difference_oracle"])
+    @pytest.mark.usefixtures("one_worker")
     def test_two_pass_callers_hold_no_block_of_noise(self, call):
         # bel_hessian reads its noise across two simulate calls and the FD oracle
         # from two starts; both stream it, so neither holds the 32.8 MB block
@@ -254,13 +256,13 @@ class TestNoiseContract:
         f, grid = sc.observables["sin"], TimeGrid(1.0, 1000)
         run = {
             "bel_hessian_weights": lambda: estimators.bel_hessian(
-                sc.make(), f, grid, [0.3], [1.0], [1.0], n_paths=4096, seed=1, threads=1),
+                sc.make(), f, grid, [0.3], [1.0], [1.0], n_paths=4096, seed=1),
             # the sine-noise model runs the nested variant's inner paths
             "bel_hessian_nested": lambda: estimators.bel_hessian(
                 make_sine_noise_model(), f, grid, [0.3], [1.0], [1.0], variant="nested",
-                n_inner=1, n_paths=4096, seed=1, threads=1),
+                n_inner=1, n_paths=4096, seed=1),
             "finite_difference_oracle": lambda: diagnostics.finite_difference_oracle(
-                sc.make(), f, grid, [0.3], [1.0], n_paths=4096, seed=1, threads=1),
+                sc.make(), f, grid, [0.3], [1.0], n_paths=4096, seed=1),
         }[call]
         tracemalloc.start()
         try:
@@ -338,6 +340,7 @@ class TestIntegration:
                 variation.evolve_first_variation(bm1, traj, bad, [1.0])
 
     @pytest.mark.parametrize("sid", sg.scenario_ids())
+    @pytest.mark.usefixtures("one_worker")
     def test_per_path_equals_estimator_path(self, sid):
         # integrate_ito and the estimators step through the same kernel
         sc = sg.get_scenario(sid)
@@ -346,7 +349,7 @@ class TestIntegration:
         traj = integrate_ito(model, sc.x0, grid, generate_noise(grid, 7, 0, model.m))
         for i in range(model.n):
             r = sg.semigroup_value(model, lambda x, i=i: x[..., i], grid, sc.x0,
-                                   n_paths=1, seed=7, threads=1)
+                                   n_paths=1, seed=7)
             assert r.mean == traj.states[-1, i]
 
     def test_sums_stop_at_blow_up_step(self):
@@ -380,6 +383,7 @@ class TestIntegration:
 
 
 class TestDriftConversion:
+    @pytest.mark.usefixtures("one_worker")
     def test_no_drift_rejected_everywhere(self):
         # DX alone does not declare a drift: per-path and estimator calls agree
         model = make_flat_model(1, 1, X=lambda x: np.ones(x.shape + (1,)),
@@ -389,7 +393,7 @@ class TestDriftConversion:
             integrate_ito(model, [0.0], grid, generate_noise(grid, 0, 0, 1))
         with pytest.raises(MissingDerivative):
             sg.semigroup_value(model, lambda x: x[..., 0], grid, [0.0],
-                               n_paths=4, seed=0, threads=1)
+                               n_paths=4, seed=0)
 
     def test_constant_X_returns_A(self, bm1):
         # no A declared: correction of constant X vanishes
@@ -448,11 +452,12 @@ class TestStatisticalSanity:
         assert np.array_equal(a.states, b.states)
 
 
+@pytest.mark.usefixtures("one_worker")
 class TestGroupStep:
     """A group step or a stored-state step makes X(x) dW only when there are sums."""
 
     GRID = TimeGrid(0.5, 20)
-    RUN = {"n_paths": 512, "seed": 1, "threads": 1}
+    RUN = {"n_paths": 512, "seed": 1}
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -507,7 +512,7 @@ class TestGroupStep:
         model, f, g0, _ = self._so3()
         resid, scales = diagnostics.exact_form_residuals(
             model, f, lambda x: 2.0 * f(x), TimeGrid(1.0, 20), g0,
-            n_paths=512, seed=11, threads=1)
+            n_paths=512, seed=11)
         assert [float.hex(float(np.sum(resid))), float.hex(float(np.sum(scales)))] == [
             "0x1.271fb19e79cbcp+6", "0x1.5db3d742c2655p+10"]
 
@@ -516,8 +521,7 @@ class TestGroupStep:
         # geometry is what fails, not a None increment
         model, f, g0, v = self._so3()
         with pytest.raises(MissingGeometry):
-            estimators.bel_hessian(model, f, self.GRID, g0, v, v, n_paths=16, seed=0,
-                                   threads=1)
+            estimators.bel_hessian(model, f, self.GRID, g0, v, v, n_paths=16, seed=0)
 
     def test_skipping_x_dW_changes_nothing(self):
         # a step that makes no X(x) dW moves the paths and the weight bitwise as the default
@@ -614,6 +618,25 @@ def test_noise_coefficients_have_one_home():
                                 for o in operands)):
                     checks.append((os.path.basename(path), node.lineno))
     assert not checks, checks
+
+
+def test_worker_count_has_one_home():
+    # SEMIGRAD_THREADS is the one worker setting: outside engine.py no function
+    # takes or passes threads, and engine.py hands fork workers their block
+    # function without a threading lock
+    src = os.path.dirname(sg.__file__)
+    uses = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        for node in ast.walk(ast.parse(open(path).read())):
+            if name == "engine.py":
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if "threading" in modules:
+                    uses.append((name, node.lineno, "import threading"))
+            elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "threads":
+                uses.append((name, node.lineno, "threads"))
+    assert not uses, uses
 
 
 def test_simulate_callbacks_keep_their_contract():
