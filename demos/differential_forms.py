@@ -8,23 +8,23 @@ semigroup on the sphere where the volume form is preserved.
 import numpy as np
 
 import semigrad as sg
-from semigrad.forms import (angle_form_s1, line_integral_one_form,
-                            one_form_semigroup, q_form_semigroup,
-                            volume_form_s2)
+from semigrad.forms import (angle_form_s1, line_integral_step, one_form_semigroup,
+                            q_form_semigroup, volume_form_s2)
 
 sc = sg.get_scenario("circle")
 circle = sc.make()
 grid = sg.TimeGrid(1.0, 800)
 
-# pathwise sanity: the line integral of an exact form telescopes
+# pathwise sanity: the line integral of an exact form telescopes; both line
+# integrals are running sums along one path
 noise = sg.generate_noise(grid, 21, 0, 2)
-traj = sg.integrate_ito(circle, [1.0, 0.0], grid, noise)
-line = line_integral_one_form(circle, traj, noise, sc.forms["exact:sin"])
-jump = traj.states[-1, 1] - traj.states[0, 1]
-print(f"line integral of d(sin) vs sin jump: {line:.5f} vs {jump:.5f}")
-
-winding = line_integral_one_form(circle, traj, noise, angle_form_s1())
-print(f"winding angle of one path: {winding:+.4f} rad")
+forms = (sc.forms["exact:sin"], angle_form_s1())
+states, _, _, _, (line, winding) = sg.integrate_block(
+    circle, np.array([[1.0, 0.0]]), grid, noise[:, None],
+    sums=[line_integral_step(form, grid, ()) for form in forms])
+jump = states[0, -1, 1] - states[0, 0, 1]
+print(f"line integral of d(sin) vs sin jump: {line[0]:.5f} vs {jump:.5f}")
+print(f"winding angle of one path: {winding[0]:+.4f} rad")
 
 budget = dict(n_paths=30_000, seed=23)
 r = one_form_semigroup(circle, angle_form_s1(), grid, sc.x0, sc.v0, **budget)

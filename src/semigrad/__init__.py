@@ -6,31 +6,25 @@ differential forms, with built-in flat, circle, sphere, and SO(3)
 scenarios and the diagnostic bounds that back the estimators.
 """
 
-from .errors import (AllPathsBlewUp, BlownUpPath, Degenerate, DegreeMismatch,
+from .errors import (AllPathsBlewUp, Degenerate, DegreeMismatch,
                      DimensionMismatch, EmptyBin, InvalidConfig,
                      MissingCodifferential, MissingDerivative, MissingGeometry,
                      NotClosed, NotGradientSystem, NotLieGroup, SemigradError,
                      UnboundedPotential, UnknownEstimator, UnknownScenario,
                      UnsupportedDegree, UnsupportedModel, ZeroDirection)
-from .paths import (TimeGrid, Trajectory, generate_noise, integrate_ito,
-                    stratonovich_to_ito_drift)
+from .paths import TimeGrid, generate_noise, integrate_block
 from .models import (DiffusionModel, LieGroupModel, ManifoldGeometry,
                      PotentialField, ScalarObservable,
                      TimeDependentCoefficients, as_observable, make_bm_model,
                      make_flat_model, make_gradient_sphere_model,
-                     make_ou_model, make_so3_model, right_inverse,
-                     with_fd_derivatives)
-from .variation import (VariationPath, evolve_first_variation,
-                        evolve_hessian_flow, evolve_second_variation,
-                        parallel_transport)
+                     make_ou_model, make_so3_model, with_fd_derivatives)
 from .estimators import (ConditionalBinSpec, EstimatorResult, bel_gradient,
                          bel_hessian, hessian_flow_gradient,
                          lie_group_gradient, pathwise_gradient,
                          potential_gradient, score_gradient, semigroup_value)
 from .forms import (FormField, angle_form_s1, exact_one_form,
-                    form_exterior_gradient, line_integral_one_form,
-                    one_form_semigroup, q_form_line_integral, q_form_semigroup,
-                    volume_form_s2, zero_form_from_observable)
+                    form_exterior_gradient, one_form_semigroup,
+                    q_form_semigroup, volume_form_s2, zero_form_from_observable)
 from .diagnostics import (BoundCheckReport, HpReport, evaluate_hp,
                           finite_difference_oracle, gronwall_gradient_bound,
                           hp_report, martingale_mean_check, moment_bound_check,

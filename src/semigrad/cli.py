@@ -156,6 +156,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     data = {}
     for key, val in raw.items():
         key = _ALIASES.get(key, key)
+        if isinstance(val, (bool, np.bool_)) and key in _INT_KEYS + _FLOAT_KEYS:
+            raise InvalidConfig(f"{key} must be numeric, got {val!r}")
         try:
             if key in _VECTOR_KEYS:
                 val = _parse_vector(val)

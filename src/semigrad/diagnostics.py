@@ -387,21 +387,3 @@ def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:
     points = np.broadcast_to(_as_vector(model, x), (_count("n_dirs", n_dirs), model.n))
     v = _unit(dot, points, sample_directions(model, points, seed))
     return float(np.min(ricci_minus_drift(points, v)))
-
-
-def dist_rho(model, x, base) -> float:
-    """Distance to a base point (geodesic for built-ins, Euclidean on flat)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    base = np.atleast_1d(np.asarray(base, dtype=float))
-    if model.geometry is None:
-        return float(np.linalg.norm(x - base))
-    if model.kind in ("circle", "gradient_sphere"):
-        c = float(np.clip(np.dot(x, base), -1.0, 1.0))
-        return float(np.arccos(c))
-    if model.kind == "lie_group":
-        G = x.reshape(3, 3)
-        H = base.reshape(3, 3)
-        rel = G.T @ H
-        c = float(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
-        return float(np.arccos(c))
-    raise UnsupportedModel(f"no distance defined for kind {model.kind!r}")

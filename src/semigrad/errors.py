@@ -25,10 +25,6 @@ class Degenerate(SemigradError):
     """The diffusion matrix has no usable right inverse at some point."""
 
 
-class BlownUpPath(SemigradError):
-    """A flagged (blown-up) trajectory was passed to a path functional."""
-
-
 class AllPathsBlewUp(SemigradError):
     """Every simulated path hit the blow-up radius; no estimate exists."""
 

@@ -97,7 +97,7 @@ def _result_from_sums(model, columns, n_rej, seed, grid, metadata=None) -> Estim
 def _count(name, value) -> int:
     """``value`` as an int >= 1, else ``InvalidConfig`` naming ``name``."""
     try:
-        n = operator.index(value)
+        n = 0 if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
         n = 0
     if n < 1:

@@ -23,7 +23,7 @@ from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
 from .estimators import EstimatorResult, _estimate
 from .models import as_observable
-from .paths import TimeGrid, _carry, weight
+from .paths import TimeGrid, weight
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
@@ -88,42 +88,12 @@ def tangent_frame(model, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# line integrals along stored trajectories (per path, through simulate)
+# line integrals: one step of the sum that ``simulate`` runs along each path
 
 
 def _require_codiff(form):
     if form.codiff is None:
         raise MissingCodifferential(f"form {form.name or form.degree} has no codifferential")
-
-
-def line_integral_one_form(model, traj, noise, form: FormField) -> float:
-    """Ito line integral of a 1-form: sum phi(X dB) - (1/2) sum delta^h phi dt."""
-    if form.degree != 1:
-        raise DegreeMismatch("line_integral_one_form needs a 1-form")
-    return q_form_line_integral(model, traj, noise, form, ())
-
-
-def q_form_line_integral(model, traj, noise, form: FormField,
-                         alpha_paths) -> float:
-    """(q-1)-form line integral of a q-form applied to evolved directions.
-
-    alpha_paths are the VariationPaths of the q-1 initial vectors; the noise
-    slot carries weight 1/q and the codifferential term is evaluated on the
-    same transported vectors.
-    """
-    q = form.degree
-    if q < 1 or q > _MAX_DEGREE:
-        raise UnsupportedDegree(f"supported degrees are 1..{_MAX_DEGREE}, got {q}")
-    if len(alpha_paths) != q - 1:
-        raise DegreeMismatch(f"degree-{q} line integral needs {q - 1} direction paths")
-    if q > 1 and not model.gradient_system:
-        raise NotGradientSystem("q-form line integrals need a gradient h-Brownian system")
-    _require_codiff(form)
-    # the stored alpha vectors ride along as fields, step k reading vectors[k]
-    _, (total,) = _carry(model, traj, noise, [p.vectors[0] for p in alpha_paths],
-                         lambda k, x, x1, vs, dW: [p.vectors[k + 1][None] for p in alpha_paths],
-                         [line_integral_step(form, traj.grid, range(q - 1))])
-    return float(total)
 
 
 def line_integral_step(form: FormField, grid: TimeGrid, rest):
@@ -252,16 +222,3 @@ def volume_form_s2() -> FormField:
 
     return FormField(degree=2, eval=ev, codiff=codiff, is_closed=True,
                      bound=1.0, name="vol_s2")
-
-
-def scaled_volume_form_s2(scalar, grad_scalar, name="f*vol_s2") -> FormField:
-    """f * vol on S^2 with delta(f vol)(u) = <-x cross grad f, u>."""
-
-    def ev(x, u, v):
-        return scalar(x) * np.einsum("bn,bn->b", x, np.cross(u, v))
-
-    def codiff(x, u):
-        g = grad_scalar(x)
-        return np.einsum("bn,bn->b", -np.cross(x, g), u)
-
-    return FormField(degree=2, eval=ev, codiff=codiff, is_closed=True, name=name)

@@ -204,14 +204,6 @@ def apply_right_inverse(model: DiffusionModel, x, v) -> np.ndarray:
     return model.apply_Y(x, v)
 
 
-def right_inverse(model: DiffusionModel, x) -> np.ndarray:
-    """Right inverse Y(x) of X(x): X Y = identity on the tangent space."""
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    out = model.Y(x[None, :] if squeeze else x)
-    return out[0] if squeeze else out
-
-
 def _gram_right_inverse(Xm) -> np.ndarray:
     """X^T (X X^T)^(-1) for batched X: (B, n, m), guarded against singular X X^T."""
     gram = np.einsum("bnm,bkm->bnk", Xm, Xm)  # X X^T, (B, n, n)
@@ -532,16 +524,6 @@ def with_fd_derivatives(model: DiffusionModel, step=1e-5) -> DiffusionModel:
         out.D2Z = d2(model.Z)
     out.fd_derivatives = True
     return out
-
-
-def check_directional_derivative(fn, dfn, points, directions, *, rel_tol=1e-5,
-                                 step=1e-6):
-    """Max relative error of a declared directional derivative vs central FD."""
-    declared = dfn(points, directions)
-    fd = (fn(points + step * directions) - fn(points - step * directions)) / (2 * step)
-    scale = np.maximum(np.max(np.abs(fd)), 1.0)
-    err = np.max(np.abs(declared - fd)) / scale
-    return err, err <= rel_tol
 
 
 def sample_points(model: DiffusionModel, count: int, seed: int = 0) -> np.ndarray:

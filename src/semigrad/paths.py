@@ -7,24 +7,24 @@ Noise reaches ``simulate`` as an iterator of steps, each the (B, m)
 increments of one time step, read once and in order.  Every estimator and
 diagnostic block iterates a ``NoiseStream``, which draws a few steps at a
 time into one small reused buffer; ``noise_block`` is the same draw
-materialized, kept for ``generate_noise``'s single paths and for checking the
-stream against.
+materialized, kept for ``generate_noise`` and for checking the stream
+against.
 ``simulate`` is the one SDE time loop of the package: Euler-Maruyama in the
 ambient space, with a retraction or group step for manifold-constrained
 models, co-evolving the direction fields and gradient weights every
-estimator needs.
+estimator needs.  ``integrate_block`` runs it and records every state and
+field, for inspecting paths one at a time or in a block.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import variation
-from .errors import BlownUpPath, DimensionMismatch, InvalidConfig, MissingDerivative
+from .errors import DimensionMismatch, InvalidConfig, MissingDerivative
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
@@ -41,9 +41,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+        if (not isinstance(self.n_steps, (int, np.integer)) or isinstance(self.n_steps, bool)
+                or self.n_steps < 1):
             raise InvalidConfig(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
-        if not 0 < self.t_end < np.inf:
+        if isinstance(self.t_end, (bool, np.bool_)) or not 0 < self.t_end < np.inf:
             raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end!r}")
 
     @property
@@ -53,16 +54,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         # k * dt elementwise, never a cumulative sum
         return np.arange(self.n_steps + 1) * self.dt
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Discretized solution path plus blow-up bookkeeping."""
-
-    states: np.ndarray  # (n_steps + 1, n)
-    grid: TimeGrid
-    blew_up: bool = False
-    blow_up_step: Optional[int] = None
 
 
 def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.ndarray:
@@ -154,13 +145,6 @@ def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
     out = np.empty((grid.n_steps, hi - lo, m))
     noise._draw(out)
     return out.transpose(1, 0, 2)
-
-
-def stratonovich_to_ito_drift(model, x) -> np.ndarray:
-    """Ito drift A(x) + 1/2 sum_i DX^i(x)(X^i(x)) of a Stratonovich model at x (n,) or (B, n)."""
-    model.require("DX")
-    x = np.asarray(x, dtype=float)
-    return _stratonovich_ito_drift(model, np.atleast_2d(x)).reshape(x.shape)
 
 
 def _stratonovich_ito_drift(model, x) -> np.ndarray:
@@ -279,7 +263,9 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
                     vs=(), flow=None, sums=(), step=None):
     """Step a block of paths through ``simulate``, recording every state and field.
 
-    Takes ``simulate``'s own ``dWs``/``vs``/``flow``/``sums``/``step``.  Returns
+    Takes ``simulate``'s own ``dWs``/``vs``/``flow``/``sums``/``step``; one
+    path's (n_steps, m) increments ``noise`` step a (1, n) block as
+    ``noise[:, None]``.  Returns
     (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none,
     fields: one (B, K+1, n) array per entry of vs, totals).
     """
@@ -299,43 +285,3 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
     # survival is monotone, so the first False marks the blow-up step
     blow_step = np.where(alive, -1, np.argmin(alives, axis=1))
     return states, alive, blow_step, fields, totals
-
-
-def integrate_ito(model, x0, grid: TimeGrid, noise: np.ndarray) -> Trajectory:
-    """dx = X(x) dB + Z(x) dt on one path's increments (n_steps, m), as ``simulate`` steps it."""
-    x0 = variation._as_vector(model, x0)
-    states, alive, blow_step, _, _ = integrate_block(model, x0[None], grid,
-                                                     _one_path(model, grid, noise))
-    blew = not alive[0]
-    return Trajectory(states[0], grid, blew, int(blow_step[0]) if blew else None)
-
-
-def _carry(model, traj: Trajectory, noise=None, vs=(), flow=None, sums=()):
-    """Carry the fields vs and running sums along the stored states of ``traj``.
-
-    ``simulate``'s step k moves to stored state k+1 and, when there are sums, hands
-    them X(x_k) dW_k for the path's increments ``noise`` (zeros when None).
-    Returns (fields, totals); raises ``BlownUpPath`` when ``traj`` is flagged
-    as blown up.
-    """
-    if traj.blew_up:
-        raise BlownUpPath("trajectory was flagged as blown up")
-    if noise is None:
-        noise = np.zeros((traj.grid.n_steps, model.m))
-
-    def stored(k, x, dW):
-        return traj.states[k + 1][None], apply_coeff(model, x, dW) if sums else None
-
-    _, _, _, fields, totals = integrate_block(model, traj.states[:1], traj.grid,
-                                              _one_path(model, traj.grid, noise),
-                                              vs=vs, flow=flow, sums=sums, step=stored)
-    return [f[0] for f in fields], [t[0] for t in totals]
-
-
-def _one_path(model, grid: TimeGrid, noise) -> np.ndarray:
-    """One path's increments (n_steps, m) as ``simulate``'s steps, each (1, m)."""
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (grid.n_steps, model.m):
-        raise DimensionMismatch(
-            f"noise is {noise.shape}, the grid and model take {(grid.n_steps, model.m)}")
-    return noise[:, None]

@@ -4,28 +4,24 @@ First variation v_t (the pathwise derivative of the solution map), second
 variation w_t (its derivative in a second initial direction), the
 deterministic Hessian flow W_t driven by -Ric/2 + covariant drift
 derivative, and discrete parallel transport.  Step functions are batched
-over paths and are the flows of ``paths.simulate``.  The per-path
-operations carry one field along the stored states of a trajectory
-through that same kernel and return it as a ``VariationPath``.
+over paths and are the flows of ``paths.simulate``; ``paths.integrate_block``
+records them along a block of paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import paths  # a cycle: paths reads this module's flows at call time
 from .errors import DimensionMismatch, MissingDerivative, MissingGeometry
 from .models import make_dot
 
 
-@dataclass(eq=False)
-class VariationPath:
-    """A field carried along a path: vectors[k] at step k, vectors[0] = v0."""
-
-    vectors: np.ndarray  # (n_steps + 1, n)
-    v0: np.ndarray
+def _as_vector(model, v):
+    """A point or direction of the model's ambient space as a float (n,) array."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (model.n,):
+        raise DimensionMismatch(f"vector has shape {v.shape}, expected ({model.n},)")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -121,60 +117,3 @@ def initial_second_variation(model, x0, u0, v0):
     if geom is None or geom.transport_init is None:
         return np.zeros_like(v0)
     return geom.transport_init(x0, u0, v0)
-
-
-# ---------------------------------------------------------------------------
-# per-path operations
-
-
-def _as_vector(model, v):
-    """A point or direction of the model's ambient space as a float (n,) array."""
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if v.shape != (model.n,):
-        raise DimensionMismatch(f"vector has shape {v.shape}, expected ({model.n},)")
-    return v
-
-
-def evolve_first_variation(model, traj: paths.Trajectory, noise: np.ndarray,
-                           v0) -> VariationPath:
-    """Tangent flow v_k along the trajectory, driven by the same noise."""
-    model.require("DX", "DZ")
-    v0 = _as_vector(model, v0)
-    (vectors,), _ = paths._carry(model, traj, noise, [v0])
-    return VariationPath(vectors=vectors, v0=v0)
-
-
-def evolve_second_variation(model, traj: paths.Trajectory, noise: np.ndarray,
-                            u_path: VariationPath, v_path: VariationPath) -> VariationPath:
-    """Second-variation flow for (u0, v0); u_path and v_path share the noise."""
-    model.require("DX", "DZ", "D2X", "D2Z")
-    dt = traj.grid.dt
-    u, v = u_path.vectors, v_path.vectors
-    w0 = initial_second_variation(model, traj.states[0][None],
-                                  u_path.v0[None], v_path.v0[None])[0]
-
-    def flow(k, x, x1, ws, dW):
-        return [second_variation_step(model, x, x1, u[k][None], u[k + 1][None],
-                                      v[k][None], ws[0], dW, dt)]
-
-    (vectors,), _ = paths._carry(model, traj, noise, [w0], flow)
-    return VariationPath(vectors=vectors, v0=w0)
-
-
-def evolve_hessian_flow(model, traj: paths.Trajectory, v0) -> VariationPath:
-    """Deterministic flow W_k = (-Ric/2 + covariant drift derivative) along the path."""
-    v0 = _as_vector(model, v0)
-    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow=hessian_flow(model, traj.grid.dt))
-    return VariationPath(vectors=vectors, v0=v0)
-
-
-def parallel_transport(model, traj: paths.Trajectory, v0) -> VariationPath:
-    """Discrete parallel transport of v0 along the trajectory.
-
-    Flat models return the constant path; constrained models project onto
-    each new tangent space and rescale to preserve the norm.
-    """
-    v0 = _as_vector(model, v0)
-    (vectors,), _ = paths._carry(model, traj, vs=[v0], flow=lambda k, x, x1, vs, dW: [
-        transport_step(model, x, x1, v) for v in vs])
-    return VariationPath(vectors=vectors, v0=v0)

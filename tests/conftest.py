@@ -4,6 +4,9 @@ import pytest
 from semigrad import (make_bm_model, make_gradient_sphere_model,
                       make_ou_model, make_so3_model)
 from semigrad.models import make_flat_model
+from semigrad.paths import integrate_block
+from semigrad.variation import (first_variation_step, initial_second_variation,
+                                second_variation_step, transport_step)
 
 
 @pytest.fixture
@@ -93,3 +96,28 @@ def make_cubic_blowup_model():
 
 def joint_tol(*results, factor=3.0):
     return factor * float(np.sqrt(sum(r.std_error ** 2 for r in results)))
+
+
+def one_path(model, x0, grid, noise, **kwargs):
+    """integrate_block on the (1, n) block of one path's (n_steps, m) increments."""
+    return integrate_block(model, np.asarray(x0, dtype=float)[None], grid, noise[:, None],
+                           **kwargs)
+
+
+def second_variation(model, grid, x0, u0, v0):
+    """vs and flow carrying u, v and their second variation w, as bel_hessian does."""
+    x0, u0, v0 = (np.asarray(a, dtype=float)[None] for a in (x0, u0, v0))
+
+    def flow(k, x, x1, vs, dW):
+        u, v, w = vs
+        u1 = first_variation_step(model, x, x1, u, dW, grid.dt)
+        return [u1, first_variation_step(model, x, x1, v, dW, grid.dt),
+                second_variation_step(model, x, x1, u, u1, v, w, dW, grid.dt)]
+
+    return {"vs": (u0[0], v0[0], initial_second_variation(model, x0, u0, v0)[0]),
+            "flow": flow}
+
+
+def transport_flow(model):
+    """Discrete parallel transport of every field as a simulate flow."""
+    return lambda k, x, x1, vs, dW: [transport_step(model, x, x1, v) for v in vs]

@@ -3,8 +3,7 @@ import pytest
 
 import semigrad as sg
 from semigrad import TimeGrid
-from semigrad.diagnostics import (constraint_violation, curvature_rho,
-                                  dist_rho, evaluate_hp,
+from semigrad.diagnostics import (constraint_violation, curvature_rho, evaluate_hp,
                                   exact_form_residuals,
                                   finite_difference_oracle,
                                   gronwall_gradient_bound, hp_report,
@@ -297,11 +296,6 @@ class TestRhoHelpers:
     def test_curvature_rho_needs_directions(self, sphere, n_dirs):
         with pytest.raises(InvalidConfig, match="n_dirs"):
             curvature_rho(sphere, np.array([0.0, 0.0, 1.0]), n_dirs=n_dirs)
-
-    def test_dist_rho(self, sphere, bm1):
-        assert abs(dist_rho(sphere, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-                   - np.pi / 2) < 1e-12
-        assert dist_rho(bm1, [2.0], [0.0]) == 2.0
 
     def test_moment_helper_matches_exact(self, ou):
         res = variation_moment(ou, GRID, [0.0], [1.0], p=2, n_paths=200, seed=19)

@@ -2,20 +2,36 @@ import numpy as np
 import pytest
 
 import semigrad as sg
-from semigrad import TimeGrid, generate_noise, integrate_ito
-from semigrad.errors import (BlownUpPath, DegreeMismatch, MissingCodifferential, NotClosed,
+from semigrad import TimeGrid, generate_noise
+from semigrad.errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                              NotGradientSystem, UnsupportedDegree)
 from semigrad.forms import (FormField, angle_form_s1,
-                            form_exterior_gradient, line_integral_one_form,
-                            line_integral_step,
-                            one_form_semigroup, q_form_line_integral,
-                            q_form_semigroup, scaled_volume_form_s2,
+                            form_exterior_gradient, line_integral_step,
+                            one_form_semigroup, q_form_semigroup,
                             tangent_frame, volume_form_s2,
                             zero_form_from_observable)
-from semigrad.paths import simulate
-from semigrad.variation import evolve_first_variation
+from semigrad.paths import integrate_block, noise_block
 
-from conftest import joint_tol, make_cubic_blowup_model
+from conftest import joint_tol, one_path
+
+
+def scaled_volume_form_s2(scalar, grad_scalar, name="f*vol_s2") -> FormField:
+    """f * vol on S^2 with delta(f vol)(u) = <-x cross grad f, u>."""
+
+    def ev(x, u, v):
+        return scalar(x) * np.einsum("bn,bn->b", x, np.cross(u, v))
+
+    def codiff(x, u):
+        g = grad_scalar(x)
+        return np.einsum("bn,bn->b", -np.cross(x, g), u)
+
+    return FormField(degree=2, eval=ev, codiff=codiff, is_closed=True, name=name)
+
+
+def _line_integral(model, x0, grid, noise, form, vs=()):
+    """``one_path`` with the line integral of ``form`` on every field as its sum."""
+    return one_path(model, x0, grid, noise, vs=vs,
+                    sums=[line_integral_step(form, grid, range(form.degree - 1))])
 
 
 def circle_sin_form(circle_scenario):
@@ -40,90 +56,65 @@ class TestLineIntegral:
         f = circle_sc.observables["sin"]
         for p in range(20):
             noise = generate_noise(grid, 51, p, 2)
-            traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
-            line = line_integral_one_form(circle, traj, noise, form)
-            jump = f(traj.states[-1][None])[0] - f(traj.states[0][None])[0]
-            assert abs(line - jump) < 5 * np.sqrt(grid.dt)
+            states, _, _, _, totals = _line_integral(circle, [1.0, 0.0], grid, noise, form)
+            jump = f(states[0, -1][None])[0] - f(states[0, 0][None])[0]
+            assert abs(totals[0][0] - jump) < 5 * np.sqrt(grid.dt)
 
     def test_zero_form_is_zero(self, circle):
         grid = TimeGrid(1.0, 100)
         zero = FormField(degree=1, eval=lambda x, v: np.zeros(x.shape[:-1]),
                          codiff=lambda x: np.zeros(x.shape[:-1]), is_closed=True)
         noise = generate_noise(grid, 0, 0, 2)
-        traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
-        assert line_integral_one_form(circle, traj, noise, zero) == 0.0
+        _, _, _, _, totals = _line_integral(circle, [1.0, 0.0], grid, noise, zero)
+        assert totals[0][0] == 0.0
 
     def test_winding_angle(self, circle):
         # int dtheta o dx equals the unwrapped angle increment along the path
         grid = TimeGrid(1.0, 2000)
         noise = generate_noise(grid, 52, 3, 2)
-        traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
-        line = line_integral_one_form(circle, traj, noise, angle_form_s1())
-        angles = np.unwrap(np.arctan2(traj.states[:, 1], traj.states[:, 0]))
+        states, _, _, _, totals = _line_integral(circle, [1.0, 0.0], grid, noise,
+                                                 angle_form_s1())
+        angles = np.unwrap(np.arctan2(states[0, :, 1], states[0, :, 0]))
         winding = angles[-1] - angles[0]
-        assert abs(line - winding) < 5 * np.sqrt(grid.dt)
+        assert abs(totals[0][0] - winding) < 5 * np.sqrt(grid.dt)
 
-    def test_missing_codifferential(self, circle):
-        form = FormField(degree=1, eval=lambda x, v: v[..., 0], codiff=None)
-        grid = TimeGrid(1.0, 10)
-        noise = generate_noise(grid, 0, 0, 2)
-        traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
+    @pytest.mark.usefixtures("one_worker")
+    def test_missing_codifferential(self, circle, circle_sc):
+        # the form semigroup, which sums the line integral, checks for delta^h first
+        form = FormField(degree=1, eval=lambda x, v: v[..., 0], codiff=None, is_closed=True)
         with pytest.raises(MissingCodifferential):
-            line_integral_one_form(circle, traj, noise, form)
-
-    def test_blown_up_rejected(self):
-        # the path leaves radius 100 at step 15; summing all 200 increments gave -1.8855
-        model = make_cubic_blowup_model()
-        model.blow_up_radius = 100.0
-        grid = TimeGrid(1.0, 200)
-        noise = generate_noise(grid, 0, 0, 1)
-        traj = integrate_ito(model, [3.0], grid, noise)
-        assert traj.blew_up and traj.blow_up_step == 15
-        form = FormField(degree=1, eval=lambda x, v: v[..., 0],
-                         codiff=lambda x: np.zeros(x.shape[:-1]))
-        with pytest.raises(BlownUpPath):
-            line_integral_one_form(model, traj, noise, form)
-        with pytest.raises(BlownUpPath):
-            q_form_line_integral(model, traj, noise, form, [])
+            one_form_semigroup(circle, form, TimeGrid(1.0, 10), circle_sc.x0, circle_sc.v0,
+                               n_paths=8, seed=0)
 
 
 class TestQFormLineIntegral:
-    def test_q1_reduces_exactly(self, circle, circle_sc):
-        grid = TimeGrid(1.0, 300)
-        form = circle_sin_form(circle_sc)
-        noise = generate_noise(grid, 53, 1, 2)
-        traj = integrate_ito(circle, [1.0, 0.0], grid, noise)
-        a = q_form_line_integral(circle, traj, noise, form, [])
-        b = line_integral_one_form(circle, traj, noise, form)
-        assert a == b
-
     def test_zero_q_form(self, sphere):
         grid = TimeGrid(0.5, 100)
         zero = FormField(degree=2, eval=lambda x, u, v: np.zeros(x.shape[:-1]),
                          codiff=lambda x, u: np.zeros(x.shape[:-1]), is_closed=True)
         noise = generate_noise(grid, 0, 0, 3)
-        traj = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
-        alpha = evolve_first_variation(sphere, traj, noise, [0.0, 0.0, 1.0])
-        assert q_form_line_integral(sphere, traj, noise, zero, [alpha]) == 0.0
+        _, _, _, _, totals = _line_integral(sphere, [1.0, 0.0, 0.0], grid, noise, zero,
+                                            vs=([0.0, 0.0, 1.0],))
+        assert totals[0][0] == 0.0
 
     def test_volume_form_matches_frame_oracle(self, sphere):
         # independent re-computation in explicit orthonormal frame components
         grid = TimeGrid(0.5, 200)
         vol = volume_form_s2()
         noise = generate_noise(grid, 54, 2, 3)
-        traj = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
-        alpha = evolve_first_variation(sphere, traj, noise, [0.0, 0.0, 1.0])
-        got = q_form_line_integral(sphere, traj, noise, vol, [alpha])
+        states, _, _, fields, totals = _line_integral(sphere, [1.0, 0.0, 0.0], grid, noise,
+                                                      vol, vs=([0.0, 0.0, 1.0],))
+        got = totals[0][0]
 
         oracle = 0.0
         for k in range(grid.n_steps):
-            x = traj.states[k]
+            x = states[0, k]
             frame = tangent_frame(sphere, x)
             comps = np.array([[vol.eval(x[None], f_i[None], f_j[None])[0] for f_j in frame]
                               for f_i in frame])
             x_db = sphere.apply_X(x[None], noise[k][None])[0]
             coords_db = frame @ x_db
-            coords_a = frame @ alpha.vectors[k]
+            coords_a = frame @ fields[0][0][k]
             oracle += 0.5 * coords_db @ comps @ coords_a
             # codifferential of the volume form vanishes, no ds term
         assert abs(got - oracle) < 1e-12
@@ -132,28 +123,26 @@ class TestQFormLineIntegral:
                                                   ("circle", "dtheta_s1"),
                                                   ("sphere3", "vol_s2")])
     def test_stored_path_equals_kernel_total(self, scenario, form_id):
-        # the stored-path line integral sums the kernel's increment in step order
+        # one path's line integral is its row of the total over a block of paths
         sc = sg.get_scenario(scenario)
         model = sc.make()
         form = sc.form(form_id)
         grid = TimeGrid(0.5, 100)
         vs = () if form.degree == 1 else (sc.v0,)
+        steps = noise_block(grid, 55, 0, 20, model.m).transpose(1, 0, 2)
+        sums = [line_integral_step(form, grid, range(form.degree - 1))]
+        _, _, _, _, (block,) = integrate_block(model, np.tile(sc.x0, (20, 1)), grid, steps,
+                                               vs=vs, sums=sums)
         for p in range(20):
             noise = generate_noise(grid, 55, p, model.m)
-            traj = integrate_ito(model, sc.x0, grid, noise)
-            alphas = [evolve_first_variation(model, traj, noise, v) for v in vs]
-            got = q_form_line_integral(model, traj, noise, form, alphas)
-            _, _, _, (total,) = simulate(
-                model, grid, [sc.x0], noise[:, None], vs=vs,
-                sums=[line_integral_step(form, grid, range(form.degree - 1))])
-            assert got == total[0]
+            _, _, _, _, totals = _line_integral(model, sc.x0, grid, noise, form, vs)
+            assert totals[0][0] == block[p]
 
-    def test_degree_mismatch(self, sphere):
-        grid = TimeGrid(0.5, 10)
-        noise = generate_noise(grid, 0, 0, 3)
-        traj = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
+    @pytest.mark.usefixtures("one_worker")
+    def test_degree_mismatch(self, sphere, sphere_sc):
         with pytest.raises(DegreeMismatch):
-            q_form_line_integral(sphere, traj, noise, volume_form_s2(), [])
+            q_form_semigroup(sphere, volume_form_s2(), TimeGrid(0.5, 10), sphere_sc.x0,
+                             (sphere_sc.u0,), n_paths=8, seed=0)
 
 
 GRID = TimeGrid(1.0, 400)

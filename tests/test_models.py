@@ -6,21 +6,30 @@ import pytest
 import semigrad as sg
 from semigrad.errors import Degenerate, DimensionMismatch, MissingDerivative
 from semigrad.models import (DiffusionModel, _gram_right_inverse, apply_coeff,
-                             apply_right_inverse, axis_from_skew, check_directional_derivative,
-                             make_flat_model, right_inverse, rotation_exp,
-                             sample_directions, sample_points, skew_from_axis,
-                             with_fd_derivatives)
+                             apply_right_inverse, axis_from_skew, make_flat_model,
+                             rotation_exp, sample_directions, sample_points,
+                             skew_from_axis, with_fd_derivatives)
 
 from conftest import make_sine_noise_model, sine_noise_coefficients
 
 
+def check_directional_derivative(fn, dfn, points, directions, *, rel_tol=1e-5,
+                                 step=1e-6):
+    """Max relative error of a declared directional derivative vs central FD."""
+    declared = dfn(points, directions)
+    fd = (fn(points + step * directions) - fn(points - step * directions)) / (2 * step)
+    scale = np.maximum(np.max(np.abs(fd)), 1.0)
+    err = np.max(np.abs(declared - fd)) / scale
+    return err, err <= rel_tol
+
+
 class TestRightInverse:
     def test_identity_X(self, bm1):
-        assert np.allclose(right_inverse(bm1, np.array([0.3])), [[1.0]])
+        assert np.allclose(bm1.Y(np.array([[0.3]]))[0], [[1.0]])
 
     def test_scaled_X(self):
         model = sg.make_bm_model(1, sigma=2.0)
-        assert np.allclose(right_inverse(model, np.array([0.0])), [[0.5]])
+        assert np.allclose(model.Y(np.array([[0.0]]))[0], [[0.5]])
 
     def test_sphere_XY_is_tangent_projection(self, sphere):
         rng = np.random.default_rng(1)
@@ -30,13 +39,13 @@ class TestRightInverse:
             v = rng.standard_normal(3)
             v -= np.dot(v, x) * x
             Xm = sphere.X(x[None])[0]
-            Ym = right_inverse(sphere, x)
+            Ym = sphere.Y(x[None])[0]
             assert np.allclose(Xm @ (Ym @ v), v, atol=1e-10)
 
     def test_computed_inverse_matches_pseudo(self):
         model = make_flat_model(1, 2, X=lambda x: np.broadcast_to(
             np.array([[1.0, 1.0]]), x.shape[:-1] + (1, 2)), Z=lambda x: 0 * x)
-        Y = right_inverse(model, np.array([0.0]))
+        Y = model.Y(np.array([[0.0]]))[0]
         assert np.allclose(Y, [[0.5], [0.5]])
 
     @pytest.mark.parametrize("call", ["right_inverse", "apply_right_inverse", "bel_gradient"])
@@ -45,7 +54,7 @@ class TestRightInverse:
         # a model that declares no Y fails the same typed way wherever Y is read
         model = replace(bm1, apply_Y=None)
         x = np.array([[0.3]])
-        calls = {"right_inverse": lambda: right_inverse(model, x[0]),
+        calls = {"right_inverse": lambda: model.Y(x),
                  "apply_right_inverse": lambda: apply_right_inverse(model, x, x),
                  "bel_gradient": lambda: sg.bel_gradient(
                      model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.3], [1.0],
@@ -60,7 +69,7 @@ class TestRightInverse:
                                 Z=lambda x: 0 * x, DX=lambda x, v: np.zeros(x.shape + (2,)),
                                 DZ=lambda x, v: 0 * v)
         with pytest.raises(Degenerate):
-            right_inverse(model, np.array([0.0, 0.0]))
+            model.Y(np.array([[0.0, 0.0]]))
         with pytest.raises(Degenerate):
             sg.bel_gradient(model, lambda x: x[..., 0], sg.TimeGrid(1.0, 4), [0.0, 0.0],
                             [1.0, 0.0], n_paths=8, seed=0)

@@ -1,6 +1,7 @@
 import ast
 import glob
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -9,14 +10,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import semigrad as sg
-from semigrad import (TimeGrid, diagnostics, estimators, generate_noise, integrate_ito, paths,
-                      variation)
+from semigrad import TimeGrid, cli, diagnostics, estimators, generate_noise, paths
 from semigrad.engine import default_block_size
 from semigrad.errors import DimensionMismatch, InvalidConfig, MissingDerivative, MissingGeometry
 from semigrad.models import make_flat_model, skew_from_axis
-from semigrad.paths import integrate_block, noise_block, simulate, stratonovich_to_ito_drift
+from semigrad.paths import _stratonovich_ito_drift, integrate_block, noise_block, simulate
+from semigrad.variation import hessian_flow
 
-from conftest import make_cubic_blowup_model, make_sine_noise_model
+from conftest import (make_cubic_blowup_model, make_sine_noise_model, one_path,
+                      second_variation, transport_flow)
+
+
+_CONFIG = {"scenario": "bm1d", "estimator": "bel_gradient", "observable": "sin"}
 
 
 class TestTimeGrid:
@@ -43,6 +48,24 @@ class TestTimeGrid:
             with pytest.raises(InvalidConfig, match="n_steps"):
                 TimeGrid(1.0, n_steps)
         assert TimeGrid(1.0, np.int64(10)).dt == 0.1
+
+    @pytest.mark.parametrize("call", [
+        lambda: TimeGrid(1.0, True),
+        lambda: TimeGrid(True, 10),
+        lambda: TimeGrid(np.bool_(True), 10),
+        lambda: sg.semigroup_value(sg.make_bm_model(1), lambda x: x[..., 0],
+                                   TimeGrid(1.0, 4), [0.0], n_paths=True),
+        lambda: cli.config_from_dict(dict(_CONFIG, n_paths=True)),
+        lambda: cli.config_from_dict(dict(_CONFIG, n_steps=True)),
+        lambda: cli.config_from_dict(dict(_CONFIG, t=True)),
+        lambda: cli.config_from_dict(dict(_CONFIG, n_paths=np.bool_(True))),
+    ], ids=["grid_n_steps", "grid_t_end", "grid_t_end_np", "estimator_n_paths",
+            "config_n_paths", "config_n_steps", "config_t", "config_n_paths_np"])
+    def test_booleans_are_not_numbers(self, call):
+        # True would otherwise count as 1 path, 1 step or t = 1
+        assert cli.config_from_dict(dict(_CONFIG, n_paths=1, n_steps=1, t=1)).n_paths == 1
+        with pytest.raises(InvalidConfig):
+            call()
 
 
 class TestNoise:
@@ -283,41 +306,41 @@ class TestIntegration:
     def test_bm_states_are_partial_sums(self, bm1):
         grid = TimeGrid(1.0, 200)
         noise = generate_noise(grid, 3, 0, 1)
-        traj = integrate_ito(bm1, [0.0], grid, noise)
+        states, alive, *_ = one_path(bm1, [0.0], grid, noise)
         expected = np.concatenate([[0.0], np.cumsum(noise[:, 0])])
-        assert np.array_equal(traj.states[:, 0], expected)
-        assert not traj.blew_up
+        assert np.array_equal(states[0, :, 0], expected)
+        assert alive[0]
 
     def test_traj_starts_at_x0(self, ou):
         grid = TimeGrid(1.0, 50)
-        traj = integrate_ito(ou, [1.3], grid, generate_noise(grid, 0, 0, 1))
-        assert traj.states[0, 0] == 1.3
+        states, *_ = one_path(ou, [1.3], grid, generate_noise(grid, 0, 0, 1))
+        assert states[0, 0, 0] == 1.3
 
     def test_ou_zero_noise_matches_ode(self, ou):
         grid = TimeGrid(1.0, 1000)
         zero = np.zeros((1000, 1))
-        traj = integrate_ito(ou, [1.0], grid, zero)
+        states, *_ = one_path(ou, [1.0], grid, zero)
         times = grid.times()
-        assert np.max(np.abs(traj.states[:, 0] - np.exp(-times))) < grid.dt
+        assert np.max(np.abs(states[0, :, 0] - np.exp(-times))) < grid.dt
 
     def test_circle_states_on_manifold(self, circle):
         grid = TimeGrid(1.0, 300)
-        traj = integrate_ito(circle, [1.0, 0.0], grid, generate_noise(grid, 5, 2, 2))
-        radii = np.linalg.norm(traj.states, axis=-1)
+        states, *_ = one_path(circle, [1.0, 0.0], grid, generate_noise(grid, 5, 2, 2))
+        radii = np.linalg.norm(states[0], axis=-1)
         assert np.max(np.abs(radii - 1.0)) < 1e-9
 
     def test_so3_zero_noise_constant_identity(self, so3):
         grid = TimeGrid(1.0, 50)
         zero = np.zeros((50, 3))
         eye = np.eye(3).reshape(-1)
-        traj = integrate_ito(so3, eye, grid, zero)
-        assert np.allclose(traj.states, eye, atol=1e-15)
+        states, *_ = one_path(so3, eye, grid, zero)
+        assert np.allclose(states[0], eye, atol=1e-15)
 
     def test_so3_stays_orthogonal(self, so3):
         grid = TimeGrid(1.0, 400)
-        traj = integrate_ito(so3, np.eye(3).reshape(-1), grid,
-                             generate_noise(grid, 17, 0, 3))
-        mats = traj.states.reshape(-1, 3, 3)
+        states, *_ = one_path(so3, np.eye(3).reshape(-1), grid,
+                              generate_noise(grid, 17, 0, 3))
+        mats = states[0].reshape(-1, 3, 3)
         errs = np.linalg.norm(np.swapaxes(mats, -1, -2) @ mats - np.eye(3),
                               axis=(-2, -1))
         assert np.max(errs) < 1e-9
@@ -326,31 +349,20 @@ class TestIntegration:
         grid = TimeGrid(1.0, 10)
         bad = generate_noise(grid, 0, 0, 2)
         with pytest.raises(DimensionMismatch):
-            integrate_ito(bm1, [0.0], grid, bad)
-
-    def test_noise_length_checked(self, bm1):
-        # per-path calls take exactly n_steps increments, never a prefix of longer noise
-        grid = TimeGrid(1.0, 10)
-        noise = generate_noise(grid, 0, 0, 1)
-        traj = integrate_ito(bm1, [0.0], grid, noise)
-        for bad in (generate_noise(TimeGrid(1.0, 20), 0, 0, 1), noise[:9]):
-            with pytest.raises(DimensionMismatch):
-                integrate_ito(bm1, [0.0], grid, bad)
-            with pytest.raises(DimensionMismatch):
-                variation.evolve_first_variation(bm1, traj, bad, [1.0])
+            one_path(bm1, [0.0], grid, bad)
 
     @pytest.mark.parametrize("sid", sg.scenario_ids())
     @pytest.mark.usefixtures("one_worker")
     def test_per_path_equals_estimator_path(self, sid):
-        # integrate_ito and the estimators step through the same kernel
+        # integrate_block and the estimators step through the same kernel
         sc = sg.get_scenario(sid)
         model = sc.make()
         grid = TimeGrid(1.0, 200)
-        traj = integrate_ito(model, sc.x0, grid, generate_noise(grid, 7, 0, model.m))
+        states, *_ = one_path(model, sc.x0, grid, generate_noise(grid, 7, 0, model.m))
         for i in range(model.n):
             r = sg.semigroup_value(model, lambda x, i=i: x[..., i], grid, sc.x0,
                                    n_paths=1, seed=7)
-            assert r.mean == traj.states[-1, i]
+            assert r.mean == states[0, -1, i]
 
     def test_sums_stop_at_blow_up_step(self):
         # a running total adds each live step's increment in order and nothing
@@ -376,10 +388,11 @@ class TestIntegration:
         model = make_cubic_blowup_model()
         model.blow_up_radius = 1e3
         grid = TimeGrid(1.0, 400)
-        traj = integrate_ito(model, [3.0], grid, generate_noise(grid, 1, 0, 1))
-        assert traj.blew_up
-        assert traj.blow_up_step is not None
-        assert np.isfinite(traj.states).all()
+        states, alive, blow_step, _, _ = one_path(model, [3.0], grid,
+                                                  generate_noise(grid, 1, 0, 1))
+        assert not alive[0]
+        assert blow_step[0] >= 0
+        assert np.isfinite(states).all()
 
 
 class TestDriftConversion:
@@ -390,18 +403,17 @@ class TestDriftConversion:
                                 DX=lambda x, v: np.zeros(x.shape + (1,)))
         grid = TimeGrid(1.0, 10)
         with pytest.raises(MissingDerivative):
-            integrate_ito(model, [0.0], grid, generate_noise(grid, 0, 0, 1))
+            one_path(model, [0.0], grid, generate_noise(grid, 0, 0, 1))
         with pytest.raises(MissingDerivative):
             sg.semigroup_value(model, lambda x: x[..., 0], grid, [0.0],
                                n_paths=4, seed=0)
 
     def test_constant_X_returns_A(self, bm1):
         # no A declared: correction of constant X vanishes
-        grid = TimeGrid(1.0, 10)
-        assert np.allclose(stratonovich_to_ito_drift(bm1, np.array([0.7])), 0.0)
+        assert np.allclose(_stratonovich_ito_drift(bm1, np.array([[0.7]])), 0.0)
 
     def test_circle_drift(self, circle):
-        z = stratonovich_to_ito_drift(circle, np.array([1.0, 0.0]))
+        z = _stratonovich_ito_drift(circle, np.array([[1.0, 0.0]]))[0]
         assert np.allclose(z, [-0.5, 0.0], atol=1e-10)
 
     def test_sphere_drift_formula(self, sphere):
@@ -409,11 +421,11 @@ class TestDriftConversion:
         for _ in range(10):
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            z = stratonovich_to_ito_drift(sphere, x)
+            z = _stratonovich_ito_drift(sphere, x[None])[0]
             assert np.allclose(z, -x, atol=1e-10)  # -(n-1)/2 x with n = 3
 
     def test_sphere_north_pole(self, sphere):
-        z = stratonovich_to_ito_drift(sphere, np.array([0.0, 0.0, 1.0]))
+        z = _stratonovich_ito_drift(sphere, np.array([[0.0, 0.0, 1.0]]))[0]
         assert np.allclose(z, [0.0, 0.0, -1.0], atol=1e-12)
 
 
@@ -447,14 +459,14 @@ class TestStatisticalSanity:
     def test_bit_identical_trajectories(self, sphere):
         grid = TimeGrid(1.0, 100)
         noise = generate_noise(grid, 8, 4, 3)
-        a = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
-        b = integrate_ito(sphere, [1.0, 0.0, 0.0], grid, noise)
-        assert np.array_equal(a.states, b.states)
+        a, *_ = one_path(sphere, [1.0, 0.0, 0.0], grid, noise)
+        b, *_ = one_path(sphere, [1.0, 0.0, 0.0], grid, noise)
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.usefixtures("one_worker")
 class TestGroupStep:
-    """A group step or a stored-state step makes X(x) dW only when there are sums."""
+    """A group step makes X(x) dW only when there are sums."""
 
     GRID = TimeGrid(0.5, 20)
     RUN = {"n_paths": 512, "seed": 1}
@@ -491,21 +503,27 @@ class TestGroupStep:
         assert calls[0] == 2 * self.GRID.n_steps
 
     def test_per_path_calls_make_no_x_dW(self, calls):
-        # neither integrate_ito's recording hook nor a field carrier reads X(x) dW
+        # neither integrate_block's recording hook nor a flow reads X(x) dW: the
+        # sphere's Euler step makes it once a step, SO(3)'s group step not at all
         grid = TimeGrid(1.0, 50)
         sc = sg.get_scenario("sphere3")
         sphere = sc.make()
         noise = generate_noise(grid, 5, 0, sphere.m)
-        traj = integrate_ito(sphere, sc.x0, grid, noise)  # an Euler step makes X(x) dW
+        one_path(sphere, sc.x0, grid, noise)
         assert calls[0] == grid.n_steps
-        model, _, g0, _ = self._so3()
-        integrate_ito(model, g0, grid, generate_noise(grid, 5, 0, model.m))
-        u = variation.evolve_first_variation(sphere, traj, noise, sc.u0)
-        v = variation.evolve_first_variation(sphere, traj, noise, sc.v0)
-        variation.evolve_second_variation(sphere, traj, noise, u, v)
-        variation.evolve_hessian_flow(sphere, traj, sc.v0)
-        variation.parallel_transport(sphere, traj, sc.v0)
-        assert calls[0] == grid.n_steps
+        for flow in ({"vs": (sc.v0,)},
+                     second_variation(sphere, grid, sc.x0, sc.u0, sc.v0),
+                     {"vs": (sc.v0,), "flow": hessian_flow(sphere, grid.dt)},
+                     {"vs": (sc.v0,), "flow": transport_flow(sphere)}):
+            calls[0] = 0
+            one_path(sphere, sc.x0, grid, noise, **flow)
+            assert calls[0] == grid.n_steps
+        model, _, g0, v = self._so3()
+        noise = generate_noise(grid, 5, 0, model.m)
+        calls[0] = 0
+        for flow in ({}, {"vs": (v,)}, {"vs": (v,), "flow": transport_flow(model)}):
+            one_path(model, g0, grid, noise, **flow)
+        assert calls[0] == 0
 
     def test_line_integral_reads_x_dW(self):
         # the exact-form line integral is a sum that reads X(x) dW on SO(3)
@@ -553,6 +571,33 @@ def test_simulate_is_the_only_time_loop():
         loops += [(os.path.basename(path), n, any(a <= n <= b for a, b in spans))
                   for n, line in enumerate(text.splitlines(), 1) if "for k in range(" in line]
     assert [inside for _, _, inside in loops] == [True], loops
+
+
+def test_stored_trajectory_layer_stays_deleted():
+    # integrate_block is the one per-path inspection API: no module defines,
+    # imports or exports a stored trajectory or a carrier over one, and
+    # variation does not import paths
+    src = os.path.dirname(sg.__file__)
+    deleted = re.compile(r"Trajectory|VariationPath|_carry|integrate_ito|evolve_\w+"
+                         r"|parallel_transport|\w*line_integral_one_form"
+                         r"|q_form_line_integral|BlownUpPath")
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        for node in ast.walk(ast.parse(open(path).read())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names]
+                modules = names + [getattr(node, "module", None) or ""]
+                if name == "variation.py" and any(m.split(".")[-1] == "paths" for m in modules):
+                    found.append((name, node.lineno, "import paths"))
+            else:
+                continue
+            found += [(name, node.lineno, n) for n in names if deleted.fullmatch(n)]
+    assert not found, found
 
 
 def test_noise_is_read_by_iteration_only():
