@@ -19,9 +19,8 @@ from .errors import (InvalidConfig, MissingDerivative, MissingGeometry, Unsuppor
 from .estimators import (EstimatorResult, _count, _estimate, _map_paths, _mc_scalar,
                          bel_gradient, semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
-from .models import (apply_right_inverse, as_observable, make_dot,
-                     sample_directions, sample_points)
-from .paths import NoiseStream, TimeGrid, simulate, weight
+from .models import apply_right_inverse, as_observable, make_dot
+from .paths import NoiseStream, TimeGrid, sample_directions, sample_points, simulate, weight
 from .variation import _as_vector, covariant_drift_deriv
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
@@ -114,9 +113,8 @@ def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
 def hp_report(model, p, form="rn_ito", *, n_samples=256, seed=0) -> HpReport:
     """Sample H_p over a quasi-random point cloud and report the supremum."""
     points = sample_points(model, _count("n_samples", n_samples), seed)
-    dirs = sample_directions(model, points, seed + 1)
     report = HpReport(p=p, form_used=form)
-    for x, v in zip(points, dirs):
+    for x, v in zip(points, sample_directions(model, points, seed)):
         val = evaluate_hp(model, p, x, v, form=form)
         report.samples.append((x, v, val))
         report.sup_estimate = max(report.sup_estimate, val)
@@ -235,9 +233,9 @@ def gronwall_gradient_bound(model, f, grid: TimeGrid, x0, v0, *, n_paths,
     As alpha -> 0 the bound degenerates to sup|f| / sqrt(t).
     """
     f = as_observable(f)
-    alpha = hp_report(model, 2.0, form="rn_ito" if model.geometry is None else "manifold",
-                      n_samples=_N_HP_SAMPLES, seed=seed).sup_estimate
-    points = sample_points(model, _N_HP_SAMPLES, seed + 7)
+    hp = hp_report(model, 2.0, form="rn_ito" if model.geometry is None else "manifold",
+                   n_samples=_N_HP_SAMPLES, seed=seed)
+    alpha, points = hp.sup_estimate, np.array([x for x, _, _ in hp.samples])
     if model.geometry is None:
         y_ops = [float(np.linalg.norm(model.Y(p[None])[0], 2)) for p in points]
         y_sup = max(y_ops)
@@ -274,12 +272,12 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
         angles = np.arange(n_grid) * (2 * np.pi / n_grid)
         points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     else:
-        points = model.geometry.sample(n_grid, seed + 3)
+        points = sample_points(model, n_grid, seed)
 
     # k^2 = sup_x int_0^t E |v_s|^2 ds, sampled at a few starting points
     k_sq = 0.0
-    for x in points[: min(4, len(points))]:
-        v = sample_directions(model, x[None], seed + 5)[0]
+    starts = points[:4]
+    for x, v in zip(starts, sample_directions(model, starts, seed)):
         k_sq = max(k_sq, _variation_l2_integral(model, grid, x, v,
                                                 n_paths=max(2000, n_paths // 20),
                                                 seed=seed))

@@ -24,11 +24,10 @@ from .errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
-from .paths import NoiseStream, TimeGrid, _keyed, simulate, weight
+from .paths import _AUX_STREAM, NoiseStream, TimeGrid, _keyed, simulate, weight
 from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
-_AUX_STREAM = 1 << 32  # sub-stream slot for auxiliary draws (inner paths use 1..n_inner)
 _MAX_REJECT_FRACTION = 0.01
 
 

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import Degenerate, DimensionMismatch, MissingDerivative, ZeroDirection
+from .errors import Degenerate, DimensionMismatch, MissingDerivative
 
 _RIGHT_INVERSE_COND_TOL = 1e-12
 
@@ -53,7 +53,7 @@ class ManifoldGeometry:
     dproject: Optional[Callable] = None       # (x, u, z) -> (B, n)
     transport_init: Optional[Callable] = None  # (x, u, v) -> (B, n)
     geodesic: Optional[Callable] = None       # (x, v, s) -> point(s)
-    sample: Optional[Callable] = None         # (count, seed) -> (count, n)
+    sample: Optional[Callable] = None         # (count, rng) -> (count, n); paths keys rng
 
 
 @dataclass
@@ -312,8 +312,7 @@ def _sphere_geometry(n) -> ManifoldGeometry:
             return x.copy()
         return np.cos(s * speed) * x + np.sin(s * speed) * v / speed
 
-    def sample(count, seed):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    def sample(count, rng):
         pts = rng.standard_normal((count, n))
         return pts / np.linalg.norm(pts, axis=-1, keepdims=True)
 
@@ -435,10 +434,8 @@ def _so3_geometry(scale) -> ManifoldGeometry:
         body = axis_from_skew(G.T @ V)
         return (G @ rotation_exp(s * body)).reshape(9)
 
-    def sample(count, seed):
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-        w = rng.standard_normal((count, 3))
-        return rotation_exp(w).reshape(count, 9)
+    def sample(count, rng):
+        return rotation_exp(rng.standard_normal((count, 3))).reshape(count, 9)
 
     return ManifoldGeometry(constraint=constraint, project_tangent=project,
                             retract=retract, ricci_op=ricci_op,
@@ -524,27 +521,3 @@ def with_fd_derivatives(model: DiffusionModel, step=1e-5) -> DiffusionModel:
         out.D2Z = d2(model.Z)
     out.fd_derivatives = True
     return out
-
-
-def sample_points(model: DiffusionModel, count: int, seed: int = 0) -> np.ndarray:
-    """Quasi-random evaluation points: on-manifold or in the declared box."""
-    if model.geometry is not None and model.geometry.sample is not None:
-        return model.geometry.sample(count, seed)
-    from scipy.stats import qmc
-
-    sampler = qmc.Halton(d=model.n, seed=seed)
-    lo, hi = model.domain
-    return lo + (hi - lo) * sampler.random(count)
-
-
-def sample_directions(model: DiffusionModel, points: np.ndarray,
-                      seed: int = 1) -> np.ndarray:
-    """Unit directions at the given points, tangent for constrained models."""
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    v = rng.standard_normal(points.shape)
-    if model.geometry is not None:
-        v = model.geometry.project_tangent(points, v)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms < 1e-12):
-        raise ZeroDirection("degenerate sampled direction")
-    return v / norms

@@ -1,8 +1,10 @@
-"""Driving noise and the path-stepping kernel on a fixed time grid.
+"""Keyed random draws, driving noise and the path-stepping kernel on a fixed time grid.
 
-Noise is keyed: each 256-path tile is one SFC64 generator seeded by
-``SeedSequence([seed, stream, tile])`` that draws step-major, so every path is
-reproducible from its index alone and distinct tiles use independent streams.
+Every random draw comes from ``_keyed(seed, stream, index)``, the one place
+a seed becomes a generator, and no two keys share one.  Each 256-path tile
+of noise is ``_keyed(seed, stream, tile)`` drawing step-major, so every path
+is reproducible from its index alone; ``_AUX_STREAM`` and ``_SAMPLE_STREAM``
+key the draws that are not path noise.
 Noise reaches ``simulate`` as an iterator of steps, each the (B, m)
 increments of one time step, read once and in order.  Every estimator and
 diagnostic block iterates a ``NoiseStream``, which draws a few steps at a
@@ -24,10 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import variation
-from .errors import DimensionMismatch, InvalidConfig, MissingDerivative
+from .errors import DimensionMismatch, InvalidConfig, MissingDerivative, ZeroDirection
 from .models import apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
+_AUX_STREAM = 1 << 32  # bel_hessian's split index (inner paths use streams 1..n_inner)
+_SAMPLE_STREAM = _AUX_STREAM + 1  # + 0 for sample_points, + 1 for sample_directions
 _TILE = 256  # paths per keyed generator
 # no smaller: freeing it lifts a fork worker's mmap threshold above so3's (B, 9) temporaries
 _CHUNK_BYTES = 2 * 2 ** 20  # a NoiseStream's reused buffer
@@ -68,9 +72,43 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
 
 
 def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
-    """A fresh SFC64 generator keyed by (seed, stream, index)."""
-    key = [operator.index(seed), operator.index(stream), operator.index(index)]
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+    """A fresh SFC64 generator keyed by (seed, stream, index), each an integer in [0, 2**64).
+
+    The key is the three low 32-bit words, then [1, high words] if any value
+    reaches 2**32: SeedSequence pads words with zeros, so [s, 2**32, 0] is [s, 0, 1].
+    """
+    key = []
+    for name, value in (("seed", seed), ("stream", stream), ("index", index)):
+        if (isinstance(value, bool) or not hasattr(value, "__index__")
+                or not 0 <= operator.index(value) <= _UINT64_MASK):
+            raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {value!r}")
+        key.append(operator.index(value))
+    words = [v & 0xFFFFFFFF for v in key]
+    if max(key) >> 32:
+        words += [1] + [v >> 32 for v in key]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
+
+
+def sample_points(model, count: int, seed: int = 0) -> np.ndarray:
+    """Quasi-random evaluation points: on-manifold or in the declared box."""
+    rng = _keyed(seed, _SAMPLE_STREAM, 0)
+    if model.geometry is not None and model.geometry.sample is not None:
+        return model.geometry.sample(count, rng)
+    from scipy.stats import qmc
+
+    lo, hi = model.domain
+    return lo + (hi - lo) * qmc.Halton(d=model.n, rng=rng).random(count)
+
+
+def sample_directions(model, points: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Unit directions at the given points, tangent for constrained models."""
+    v = _keyed(seed, _SAMPLE_STREAM + 1, 0).standard_normal(points.shape)
+    if model.geometry is not None:
+        v = model.geometry.project_tangent(points, v)
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(norms < 1e-12):
+        raise ZeroDirection("degenerate sampled direction")
+    return v / norms
 
 
 class NoiseStream:
@@ -97,9 +135,6 @@ class NoiseStream:
                                 f"got [{lo!r}, {hi!r}) and {m!r}") from None
         if m < 1:
             raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-        for name, key in (("seed", seed), ("stream", stream)):
-            if not (hasattr(key, "__index__") and 0 <= operator.index(key) <= _UINT64_MASK):
-                raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {key!r}")
         if not 0 <= lo <= hi <= 1 << 64:
             raise InvalidConfig(
                 f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
@@ -263,9 +298,9 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
                     vs=(), flow=None, sums=(), step=None):
     """Step a block of paths through ``simulate``, recording every state and field.
 
-    Takes ``simulate``'s own ``dWs``/``vs``/``flow``/``sums``/``step``; one
-    path's (n_steps, m) increments ``noise`` step a (1, n) block as
-    ``noise[:, None]``.  Returns
+    Takes ``simulate``'s own ``dWs``/``vs``/``flow``/``sums``/``step``, but dWs
+    must hold exactly n_steps steps; one path's (n_steps, m) increments
+    ``noise`` step a (1, n) block as ``noise[:, None]``.  Returns
     (states (B, K+1, n), alive (B,), blow_step (B,) with -1 for none,
     fields: one (B, K+1, n) array per entry of vs, totals).
     """
@@ -280,8 +315,11 @@ def integrate_block(model, x0s: np.ndarray, grid: TimeGrid, dWs, *,
         for field, v in zip(fields, vs):
             field[:, k] = v
 
-    x, alive, vs, totals = simulate(model, grid, x0s, dWs, vs=vs, flow=flow,
+    steps = iter(dWs)
+    x, alive, vs, totals = simulate(model, grid, x0s, steps, vs=vs, flow=flow,
                                     sums=sums, hook=record, step=step)
+    if next(steps, None) is not None:
+        raise DimensionMismatch(f"noise holds more than the grid's {K} steps")
     # survival is monotone, so the first False marks the blow-up step
     blow_step = np.where(alive, -1, np.argmin(alives, axis=1))
     return states, alive, blow_step, fields, totals

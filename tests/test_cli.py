@@ -293,11 +293,17 @@ class TestMainEntry:
         assert err.startswith("error: ") and field in err and "Traceback" not in err
 
     @pytest.mark.parametrize("sid,seed", [("bm1d", "-1"), ("sphere3", "-1"),
-                                          ("so3", str(2 ** 64 - 1))])
+                                          ("so3", str(2 ** 64))])
     def test_check_seed_out_of_range_exits_1(self, capsys, sid, seed):
         assert main(["check", sid, "--seed", seed, "--paths", "100", "--steps", "10"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed" in err and "Traceback" not in err
+
+    def test_check_accepts_the_top_seed(self, capsys):
+        # no offset is added to a seed, so check accepts every seed run does
+        assert main(["check", "so3", "--seed", str(2 ** 64 - 1), "--paths", "100",
+                     "--steps", "10"]) != 1
+        assert "error" not in capsys.readouterr().err
 
     def test_run_negative_seed_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.txt"

@@ -292,6 +292,26 @@ class TestRhoHelpers:
         rho = curvature_rho(sg.make_so3_model(s), np.eye(3).reshape(-1))
         assert abs(rho - s * s / 2) < 1e-9
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, True])
+    def test_sampled_diagnostics_reject_bad_seeds(self, bm1, sphere, seed):
+        # the samplers key their generators like the noise: a typed error, not an overflow
+        for model in (bm1, sphere):
+            with pytest.raises(InvalidConfig, match="seed"):
+                hp_report(model, 2.0, n_samples=4, seed=seed)
+        with pytest.raises(InvalidConfig, match="seed"):
+            curvature_rho(sphere, np.array([0.0, 0.0, 1.0]), seed=seed)
+
+    def test_sampled_diagnostics_accept_the_top_seed(self, bm1, sphere):
+        # no seed offset: the last seed draws its own points and directions
+        top = 2 ** 64 - 1
+        obs = sg.get_scenario("bm1d").observables["sin"]
+        assert gronwall_gradient_bound(bm1, obs, TimeGrid(1.0, 10), [0.0], [1.0],
+                                       n_paths=256, seed=top).passed
+        rep = sobolev_norm_check(sphere, sg.get_scenario("sphere3").observables["sin"],
+                                 TimeGrid(1.0, 10), p=2, n_grid=2, n_paths=256, seed=top)
+        assert np.isfinite(rep.empirical)
+        assert abs(curvature_rho(sphere, np.array([0.0, 0.0, 1.0]), seed=top) - 1.0) < 1e-9
+
     @pytest.mark.parametrize("n_dirs", [0, -1, 2.5])
     def test_curvature_rho_needs_directions(self, sphere, n_dirs):
         with pytest.raises(InvalidConfig, match="n_dirs"):

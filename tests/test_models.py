@@ -7,8 +7,8 @@ import semigrad as sg
 from semigrad.errors import Degenerate, DimensionMismatch, MissingDerivative
 from semigrad.models import (DiffusionModel, _gram_right_inverse, apply_coeff,
                              apply_right_inverse, axis_from_skew, make_flat_model,
-                             rotation_exp, sample_directions, sample_points,
-                             skew_from_axis, with_fd_derivatives)
+                             rotation_exp, skew_from_axis, with_fd_derivatives)
+from semigrad.paths import sample_directions, sample_points
 
 from conftest import make_sine_noise_model, sine_noise_coefficients
 

@@ -1,5 +1,6 @@
 import ast
 import glob
+import itertools
 import os
 import re
 import tracemalloc
@@ -122,7 +123,8 @@ class TestNoise:
         with pytest.raises(error):
             noise_block(TimeGrid(1.0, 10), 0, lo, hi, m, stream)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 1.0, np.float64(2.0), "1", None])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 1.0, np.float64(2.0), "1", None,
+                                      True, False])
     def test_noise_block_rejects_bad_seed(self, seed):
         # the SFC64 key holds the seed itself: nothing may alias onto another seed
         with pytest.raises(InvalidConfig, match="seed"):
@@ -157,6 +159,19 @@ class TestNoiseContract:
         if stream == 0:
             p = data.draw(st.integers(0, n - 1))
             assert np.array_equal(generate_noise(self.GRID, 5, p, m), whole[p])
+
+    def test_key_is_injective(self):
+        # SeedSequence joins 32-bit words and pads with zeros, so the raw triple
+        # collided: (s, _AUX_STREAM, 0) keyed tile 1 of (s, 0), and seed 2**32's
+        # stream 0 was seed 0's stream 1
+        seeds = [0, 1, 2 ** 32, 2 ** 64 - 1]
+        streams = [0, 1, paths._AUX_STREAM, paths._SAMPLE_STREAM, paths._SAMPLE_STREAM + 1]
+        keys = list(itertools.product(seeds, streams, [0, 1, 2 ** 32]))
+        first = {int(paths._keyed(*key).bit_generator.random_raw()) for key in keys}
+        assert len(first) == len(keys)
+        grid = TimeGrid(1.0, 4)
+        assert not np.array_equal(noise_block(grid, 2 ** 32, 0, 2, 1),
+                                  noise_block(grid, 0, 0, 2, 1, stream=1))
 
     def test_tiles_and_streams_differ(self):
         block = noise_block(self.GRID, 5, 0, 512, 2)
@@ -238,7 +253,7 @@ class TestNoiseContract:
         with pytest.raises(DimensionMismatch, match="step 0"):
             simulate(model, grid, x0s, steps)
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, True])
     @pytest.mark.parametrize("call", ["semigroup_value", "exact_form_residuals",
                                       "constraint_violation"])
     def test_streaming_callers_check_the_seed(self, seed, call):
@@ -350,6 +365,12 @@ class TestIntegration:
         bad = generate_noise(grid, 0, 0, 2)
         with pytest.raises(DimensionMismatch):
             one_path(bm1, [0.0], grid, bad)
+
+    def test_longer_noise_rejected(self, bm1):
+        # another grid's noise is refused, not cut to this grid's steps
+        noise = generate_noise(TimeGrid(1.0, 20), 0, 0, 1)
+        with pytest.raises(DimensionMismatch, match="more than"):
+            one_path(bm1, [0.0], TimeGrid(1.0, 10), noise)
 
     @pytest.mark.parametrize("sid", sg.scenario_ids())
     @pytest.mark.usefixtures("one_worker")
@@ -682,6 +703,23 @@ def test_worker_count_has_one_home():
             elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "threads":
                 uses.append((name, node.lineno, "threads"))
     assert not uses, uses
+
+
+def test_random_draws_have_one_home():
+    # paths._keyed is the one place a seed becomes a generator, and no module
+    # offsets a seed to reach another stream
+    src = os.path.dirname(sg.__file__)
+    keying = re.compile(r"Philox|SeedSequence|np\.random\.Generator\(|default_rng")
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        text = open(path).read()
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef) and f.name == "_keyed" and name == "paths.py"]
+        found += [(name, n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+                  if (keying.search(line) and not any(a <= n <= b for a, b in spans))
+                  or re.search(r"\bseed\s*[-+]", line)]
+    assert not found, found
 
 
 def test_simulate_callbacks_keep_their_contract():
