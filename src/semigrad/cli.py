@@ -27,7 +27,7 @@ import numpy as np
 from . import diagnostics
 from .errors import InvalidConfig, SemigradError, UnknownEstimator
 from .models import apply_coeff, apply_right_inverse
-from .paths import TimeGrid, sample_directions, sample_points
+from .paths import _UINT64_MASK, TimeGrid, _integer, sample_directions, sample_points
 from .registry import (ESTIMATOR_IDS, ESTIMATORS, ambient_direction, get_scenario,
                        scenario_ids)
 
@@ -61,16 +61,11 @@ class ExperimentConfig:
     def validate(self):
         if not 0 < self.t < np.inf:
             raise InvalidConfig(f"t must be positive and finite, got {self.t}")
-        if self.n_paths < 1:
-            raise InvalidConfig("n_paths must be >= 1")
-        if self.n_steps < 1:
-            raise InvalidConfig("n_steps must be >= 1")
-        if not 0 <= self.seed < 2 ** 64:
-            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
+        for name in ("n_paths", "n_steps", "n_inner"):
+            _integer(name, getattr(self, name))
+        _integer("seed", self.seed, 0, _UINT64_MASK)
         if self.delta == 0 or not np.isfinite(self.delta):
             raise InvalidConfig("delta must be finite and nonzero")
-        if self.n_inner < 1:
-            raise InvalidConfig("n_inner must be >= 1")
         for name in ("tol_rel", "tol_abs"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise InvalidConfig(f"{name} must be finite and >= 0, got {getattr(self, name)}")
@@ -289,8 +284,6 @@ def list_scenarios() -> str:
 
 def run_checks(scenario_id: str, *, n_paths=20_000, n_steps=400, t=1.0, seed=0):
     """Diagnostic suite for one scenario; returns a list of BoundCheckReports."""
-    if n_steps < 1:
-        raise InvalidConfig(f"n_steps must be >= 1, got {n_steps}")
     sc = get_scenario(scenario_id)
     model = sc.make()
     grid = TimeGrid(t_end=t, n_steps=n_steps)

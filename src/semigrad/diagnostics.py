@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import (InvalidConfig, MissingDerivative, MissingGeometry, UnsupportedModel,
                      ZeroDirection)
-from .estimators import (EstimatorResult, _count, _estimate, _map_paths, _mc_scalar,
-                         bel_gradient, semigroup_value)
+from .estimators import (EstimatorResult, _estimate, _map_paths, _mc_scalar, bel_gradient,
+                         semigroup_value)
 from .forms import exact_one_form, line_integral_step, tangent_frame
 from .models import apply_right_inverse, as_observable, make_dot
-from .paths import NoiseStream, TimeGrid, sample_directions, sample_points, simulate, weight
+from .paths import (NoiseStream, TimeGrid, _integer, sample_directions, sample_points,
+                    simulate, weight)
 from .variation import _as_vector, covariant_drift_deriv
 
 HP_FORMS = ("rn_ito", "manifold", "section2_H2", "section3_H2")
@@ -97,9 +98,9 @@ def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
     if form not in HP_FORMS:
         raise InvalidConfig(f"unknown H_p form {form!r}")
     model.require("DX")
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
+    x = _as_vector(model, x)[None, :]
     dot, project, ricci_minus_drift = _hp_terms(model, form in ("manifold", "section3_H2"))
-    v = _unit(dot, x, np.atleast_1d(np.asarray(v, dtype=float))[None, :])
+    v = _unit(dot, x, _as_vector(model, v)[None, :])
     coeff = 1.0 if form in ("section2_H2", "section3_H2") else p - 2.0
     dx = model.DX(x, v)
     sq = quart = 0.0
@@ -112,7 +113,7 @@ def evaluate_hp(model, p, x, v, form="rn_ito") -> float:
 
 def hp_report(model, p, form="rn_ito", *, n_samples=256, seed=0) -> HpReport:
     """Sample H_p over a quasi-random point cloud and report the supremum."""
-    points = sample_points(model, _count("n_samples", n_samples), seed)
+    points = sample_points(model, _integer("n_samples", n_samples), seed)
     report = HpReport(p=p, form_used=form)
     for x, v in zip(points, sample_directions(model, points, seed)):
         val = evaluate_hp(model, p, x, v, form=form)
@@ -193,7 +194,7 @@ def finite_difference_oracle(model, f, grid: TimeGrid, x0, v0, *, delta=1e-3,
     models perturb along the geodesic through x0 with velocity v0.
     """
     f = as_observable(f)
-    if delta == 0 or not np.isfinite(delta):
+    if isinstance(delta, (bool, np.bool_)) or delta == 0 or not np.isfinite(delta):
         raise InvalidConfig(f"delta must be finite and nonzero, got {delta}")
     x0 = _as_vector(model, x0)
     v0 = _as_vector(model, v0)
@@ -267,7 +268,7 @@ def sobolev_norm_check(model, f, grid: TimeGrid, p, *, n_grid=16, n_paths,
         raise UnsupportedModel("Sobolev check needs a compact built-in manifold")
     if not (p == np.inf or p >= 2):
         raise UnsupportedModel("Sobolev check supports p >= 2 or p = inf")
-    n_grid = _count("n_grid", n_grid)
+    n_grid = _integer("n_grid", n_grid)
     if model.kind == "circle":
         angles = np.arange(n_grid) * (2 * np.pi / n_grid)
         points = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
@@ -382,6 +383,6 @@ def curvature_rho(model, x, *, n_dirs=64, seed=0) -> float:
     model metric; the n_dirs directions are ``sample_directions`` at x.
     """
     dot, _, ricci_minus_drift = _hp_terms(model, covariant=True)
-    points = np.broadcast_to(_as_vector(model, x), (_count("n_dirs", n_dirs), model.n))
+    points = np.broadcast_to(_as_vector(model, x), (_integer("n_dirs", n_dirs), model.n))
     v = _unit(dot, points, sample_directions(model, points, seed))
     return float(np.min(ricci_minus_drift(points, v)))

@@ -12,7 +12,6 @@ the worker count.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,7 +23,7 @@ from .errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
                      apply_right_inverse, as_observable, make_dot)
-from .paths import _AUX_STREAM, NoiseStream, TimeGrid, _keyed, simulate, weight
+from .paths import _AUX_STREAM, NoiseStream, TimeGrid, _integer, _keyed, simulate, weight
 from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
 
@@ -58,7 +57,7 @@ class ConditionalBinSpec:
     kernel: str = "box"  # box | gaussian
 
     def __post_init__(self):
-        if not 0 < self.bandwidth < np.inf:
+        if isinstance(self.bandwidth, (bool, np.bool_)) or not 0 < self.bandwidth < np.inf:
             raise InvalidConfig(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
         if self.kernel not in ("box", "gaussian"):
             raise InvalidConfig(f"unknown kernel {self.kernel!r}")
@@ -93,20 +92,9 @@ def _result_from_sums(model, columns, n_rej, seed, grid, metadata=None) -> Estim
                            columns=tuple(columns))
 
 
-def _count(name, value) -> int:
-    """``value`` as an int >= 1, else ``InvalidConfig`` naming ``name``."""
-    try:
-        n = 0 if isinstance(value, (bool, np.bool_)) else operator.index(value)
-    except TypeError:
-        n = 0
-    if n < 1:
-        raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
-    return n
-
-
 def _map_paths(model, grid, n_paths, block_fn) -> list:
     """block_fn(lo, hi) over the path partition every estimator shares."""
-    return engine.map_blocks(_count("n_paths", n_paths), block_fn,
+    return engine.map_blocks(_integer("n_paths", n_paths), block_fn,
                              block_size=engine.default_block_size(grid.n_steps, model.m))
 
 
@@ -202,7 +190,7 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
     if variant == "nested" and manifold:
         raise UnsupportedModel("the nested Hessian variant is implemented for flat models")
     if variant == "nested":
-        n_inner = _count("n_inner", n_inner)
+        n_inner = _integer("n_inner", n_inner)
     x0 = _as_vector(model, x0)
     u0 = _as_vector(model, u0)
     v0 = _as_vector(model, v0)

@@ -24,6 +24,7 @@ from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
 from .estimators import EstimatorResult, _estimate
 from .models import as_observable
 from .paths import TimeGrid, weight
+from .variation import _as_vector
 
 _MAX_DEGREE = 2
 _MAX_DIM = 3
@@ -71,7 +72,7 @@ def tangent_frame(model, x) -> np.ndarray:
     Seeds are the ambient standard basis in lexicographic order; near-zero
     projections are dropped, so the frame has the manifold dimension.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_vector(model, x)
     geom = model.geometry
     frame = []
     for i in range(model.n):

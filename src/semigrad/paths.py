@@ -4,7 +4,8 @@ Every random draw comes from ``_keyed(seed, stream, index)``, the one place
 a seed becomes a generator, and no two keys share one.  Each 256-path tile
 of noise is ``_keyed(seed, stream, tile)`` drawing step-major, so every path
 is reproducible from its index alone; ``_AUX_STREAM`` and ``_SAMPLE_STREAM``
-key the draws that are not path noise.
+key the draws that are not path noise.  ``_integer`` checks every integer input (seed,
+stream, path_index, lo, hi, m and the counts) and raises ``InvalidConfig`` naming it.
 Noise reaches ``simulate`` as an iterator of steps, each the (B, m)
 increments of one time step, read once and in order.  Every estimator and
 diagnostic block iterates a ``NoiseStream``, which draws a few steps at a
@@ -37,6 +38,18 @@ _TILE = 256  # paths per keyed generator
 _CHUNK_BYTES = 2 * 2 ** 20  # a NoiseStream's reused buffer
 
 
+def _integer(name: str, value, lo: int = 1, hi: int | None = None) -> int:
+    """Any ``__index__`` value but a bool, as an int in [lo, hi or inf], else ``InvalidConfig``."""
+    try:
+        n = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < lo or (hi is not None and n > hi):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise InvalidConfig(f"{name} must be an integer {bound}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid on [0, t_end] with points t_k = k * dt exactly."""
@@ -45,9 +58,7 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if (not isinstance(self.n_steps, (int, np.integer)) or isinstance(self.n_steps, bool)
-                or self.n_steps < 1):
-            raise InvalidConfig(f"n_steps must be an integer >= 1, got {self.n_steps!r}")
+        _integer("n_steps", self.n_steps)
         if isinstance(self.t_end, (bool, np.bool_)) or not 0 < self.t_end < np.inf:
             raise InvalidConfig(f"t_end must be positive and finite, got {self.t_end!r}")
 
@@ -66,8 +77,7 @@ def generate_noise(grid: TimeGrid, seed: int, path_index: int, m: int) -> np.nda
     Deterministic in (seed, path_index): a row of the path's 256-path tile,
     so it draws the whole tile.  The increments are row 0 of ``noise_block``.
     """
-    if not hasattr(path_index, "__index__"):
-        raise InvalidConfig(f"path_index must be an integer, got {path_index!r}")
+    path_index = _integer("path_index", path_index, 0, _UINT64_MASK)
     return noise_block(grid, seed, path_index, path_index + 1, m)[0]
 
 
@@ -77,12 +87,8 @@ def _keyed(seed: int, stream: int, index: int) -> np.random.Generator:
     The key is the three low 32-bit words, then [1, high words] if any value
     reaches 2**32: SeedSequence pads words with zeros, so [s, 2**32, 0] is [s, 0, 1].
     """
-    key = []
-    for name, value in (("seed", seed), ("stream", stream), ("index", index)):
-        if (isinstance(value, bool) or not hasattr(value, "__index__")
-                or not 0 <= operator.index(value) <= _UINT64_MASK):
-            raise InvalidConfig(f"{name} must be an integer in [0, 2**64), got {value!r}")
-        key.append(operator.index(value))
+    key = [_integer(name, value, 0, _UINT64_MASK)
+           for name, value in (("seed", seed), ("stream", stream), ("index", index))]
     words = [v & 0xFFFFFFFF for v in key]
     if max(key) >> 32:
         words += [1] + [v >> 32 for v in key]
@@ -128,16 +134,13 @@ class NoiseStream:
     """
 
     def __init__(self, grid: TimeGrid, seed: int, lo: int, hi: int, m: int, stream: int = 0):
-        try:
-            lo, hi, m = (operator.index(v) for v in (lo, hi, m))
-        except TypeError:
-            raise InvalidConfig(f"path_index range [lo, hi) and m must be integers, "
-                                f"got [{lo!r}, {hi!r}) and {m!r}") from None
-        if m < 1:
-            raise DimensionMismatch(f"noise dimension m must be >= 1, got {m}")
-        if not 0 <= lo <= hi <= 1 << 64:
-            raise InvalidConfig(
-                f"path_index range [lo, hi) must lie in [0, 2**64), got [{lo}, {hi})")
+        for name, value in (("seed", seed), ("stream", stream)):  # an empty range keys no tile
+            _integer(name, value, 0, _UINT64_MASK)
+        lo = _integer("lo", lo, 0, 1 << 64)
+        hi = _integer("hi", hi, lo, 1 << 64)
+        m = _integer("m", m, 0)
+        if m == 0:
+            raise DimensionMismatch("noise dimension m must be >= 1, got 0")
         K = grid.n_steps
         self.shape = (hi - lo, K, m)
         self._sqrt_dt = np.sqrt(grid.dt)

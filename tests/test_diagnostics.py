@@ -9,7 +9,7 @@ from semigrad.diagnostics import (constraint_violation, curvature_rho, evaluate_
                                   gronwall_gradient_bound, hp_report,
                                   martingale_mean_check, moment_bound_check,
                                   sobolev_norm_check, variation_moment)
-from semigrad.errors import InvalidConfig, UnsupportedModel, ZeroDirection
+from semigrad.errors import DimensionMismatch, InvalidConfig, UnsupportedModel, ZeroDirection
 from semigrad.models import make_flat_model, with_fd_derivatives
 
 from conftest import make_cubic_blowup_model, make_sine_noise_model
@@ -76,6 +76,14 @@ class TestEvaluateHp:
         a = evaluate_hp(sphere, 2.0, x, v, form="rn_ito")
         b = evaluate_hp(fd, 2.0, x, v, form="rn_ito")
         assert abs(a - b) < 1e-5
+
+    @pytest.mark.parametrize("name,x,v", [("bm1", [0.0, 1.0], [1.0]), ("bm1", [0.0], [1.0, 2.0]),
+                                          ("sphere", [1.0, 0.0], [0.0, 1.0, 0.0]),
+                                          ("sphere", [1.0, 0.0, 0.0], [0.0, 1.0])])
+    def test_wrong_dimension_rejected(self, request, name, x, v):
+        # a point or direction of the wrong length is an error, not H_p = 0
+        with pytest.raises(DimensionMismatch):
+            evaluate_hp(request.getfixturevalue(name), 2.0, x, v)
 
     def test_zero_direction_rejected(self, bm1):
         with pytest.raises(ZeroDirection):
@@ -192,7 +200,7 @@ class TestFiniteDifferenceOracle:
         assert abs(r.mean - np.exp(-1)) < 2 * GRID.dt
         assert r.std_error < 1e-12
 
-    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf, True, np.bool_(True)])
     def test_zero_or_nonfinite_delta_rejected(self, bm1, delta):
         obs = sg.get_scenario("bm1d").observables["sin"]
         with pytest.raises(InvalidConfig):

@@ -320,7 +320,7 @@ class TestScoreGradient:
         with pytest.raises(EmptyBin):
             sg.score_gradient(bm1, GRID, [0.0], [1.0], bins, n_paths=1000, seed=31)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.inf, np.nan, True, np.bool_(True)])
     def test_bandwidth_must_be_positive_and_finite(self, bandwidth):
         # an infinite bandwidth would put every path in the bin
         with pytest.raises(InvalidConfig, match="bandwidth"):

@@ -3,7 +3,7 @@ import pytest
 
 import semigrad as sg
 from semigrad import TimeGrid, generate_noise
-from semigrad.errors import (DegreeMismatch, MissingCodifferential, NotClosed,
+from semigrad.errors import (DegreeMismatch, DimensionMismatch, MissingCodifferential, NotClosed,
                              NotGradientSystem, UnsupportedDegree)
 from semigrad.forms import (FormField, angle_form_s1,
                             form_exterior_gradient, line_integral_step,
@@ -275,6 +275,13 @@ class TestFormExteriorGradient:
         b = q_form_semigroup(sphere, dphi, grid, sphere_sc.x0,
                              (sphere_sc.u0, sphere_sc.v0), n_paths=40_000, seed=71)
         assert abs(a.mean - b.mean) < joint_tol(a, b)
+
+
+class TestTangentFrame:
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    def test_wrong_dimension_rejected(self, sphere, x):
+        with pytest.raises(DimensionMismatch):
+            tangent_frame(sphere, x)
 
 
 class TestAlternatingAlgebra:

@@ -101,7 +101,7 @@ class TestNoise:
         with pytest.raises(DimensionMismatch):
             generate_noise(TimeGrid(1.0, 10), 0, 0, 0)
 
-    @pytest.mark.parametrize("path_index", [-1, 2 ** 64, 1.5, 4.0, "1", None])
+    @pytest.mark.parametrize("path_index", [-1, 2 ** 64, 1.5, 4.0, "1", None, True])
     def test_invalid_path_index(self, path_index):
         with pytest.raises(InvalidConfig, match="path_index"):
             generate_noise(TimeGrid(1.0, 10), 0, path_index, 1)
@@ -118,6 +118,11 @@ class TestNoise:
         (0, 4, 4.0, 0, InvalidConfig),
         (1.5, 4, 1, 0, InvalidConfig),
         (0, 4.0, 1, 0, InvalidConfig),
+        (True, 4, 1, 0, InvalidConfig),
+        (0, 4, True, 0, InvalidConfig),
+        (0, 5, 1, True, InvalidConfig),
+        (0, 0, 1, -1, InvalidConfig),
+        (256, 256, 1, 2 ** 64, InvalidConfig),
     ])
     def test_noise_block_rejects_bad_inputs(self, lo, hi, m, stream, error):
         with pytest.raises(error):
@@ -129,6 +134,12 @@ class TestNoise:
         # the SFC64 key holds the seed itself: nothing may alias onto another seed
         with pytest.raises(InvalidConfig, match="seed"):
             noise_block(TimeGrid(1.0, 10), seed, 0, 4, 1)
+
+    @pytest.mark.parametrize("lo", [0, 256])
+    def test_empty_stream_checks_its_seed(self, lo):
+        # a tile-aligned empty range keys no generator, yet its seed is checked
+        with pytest.raises(InvalidConfig, match="seed"):
+            noise_block(TimeGrid(1.0, 4), -1, lo, lo, 1)
 
     def test_seed_integer_types_agree(self):
         grid = TimeGrid(1.0, 10)
@@ -703,6 +714,26 @@ def test_worker_count_has_one_home():
             elif isinstance(node, (ast.arg, ast.keyword)) and node.arg == "threads":
                 uses.append((name, node.lineno, "threads"))
     assert not uses, uses
+
+
+def test_integer_inputs_have_one_home():
+    # paths._integer is the one integer check (counts, indices, keys); only the
+    # CLI's text parser reads an integer another way, and _count stays deleted
+    src = os.path.dirname(sg.__file__)
+    homes = {("paths.py", "_integer"), ("cli.py", "_parse_int")}
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        name = os.path.basename(path)
+        text = open(path).read()
+        tree = ast.parse(text)
+        found += [(name, f.lineno, "def _count") for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_count"]
+        spans = [(f.lineno, f.end_lineno) for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) and (name, f.name) in homes]
+        found += [(name, n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+                  if ("operator.index(" in line or '"__index__"' in line)
+                  and not any(a <= n <= b for a, b in spans)]
+    assert not found, found
 
 
 def test_random_draws_have_one_home():
