@@ -164,7 +164,7 @@ def martingale_mean_check(model, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> 
         if manifold:
             return model.metric_dot(x, vs[0], vs[0]) * grid.dt
         yv = apply_right_inverse(model, x, vs[0])
-        return np.einsum("bm,bm->b", yv, yv) * grid.dt
+        return make_dot(model.m)(yv, yv) * grid.dt
 
     res = _estimate(model, grid, x0, lambda x, vs, sums: tuple(sums), vs=(v0,), n_paths=n_paths,
                     sums=[weight(model, 0), second_moment], seed=seed)

@@ -22,7 +22,7 @@ from .errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                      InvalidConfig, MissingDerivative, NotLieGroup,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
-                     apply_right_inverse, as_observable, make_dot)
+                     apply_right_inverse, as_observable, make_dot, matvec)
 from .paths import _AUX_STREAM, NoiseStream, TimeGrid, _integer, _keyed, simulate, weight
 from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
@@ -142,8 +142,8 @@ def pathwise_gradient(model, f, grid: TimeGrid, x0, v0, *, n_paths, seed=0) -> E
     if f.df is None:
         raise MissingDerivative("pathwise gradient needs the observable derivative df")
     model.require("DX", "DZ")
-    return _estimate(model, grid, x0,
-                     lambda x, vs, sums: np.einsum("bn,bn->b", f.df(x), vs[0]),
+    dot = make_dot(model.n)
+    return _estimate(model, grid, x0, lambda x, vs, sums: dot(f.df(x), vs[0]),
                      vs=(v0,), n_paths=n_paths, seed=seed)
 
 
@@ -210,9 +210,9 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         # <DX(x)(u) dB, v> + <X(x) dB, w>, or <DY(x)(u, v) + Y(x) w, dB> on flat models
         u, v, w = vs
         if manifold:
-            dxu = np.einsum("bnm,bm->bn", model.DX(x, u), dW)
+            dxu = model.apply_DX(x, u, dW)
             return model.metric_dot(x, dxu, v) + model.metric_dot(x, x_dB, w)
-        return np.einsum("bm,bm->b", model.DY(x, u, v) + apply_right_inverse(model, x, w), dW)
+        return make_dot(model.m)(model.DY(x, u, v) + apply_right_inverse(model, x, w), dW)
 
     # the nested variant estimates the correction by inner paths instead
     sums = [weight(model, 0)] + ([correction] if variant == "weights" else [])
@@ -310,15 +310,15 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
     tc = time_coeffs
     if tc is not None:
         def tc_step(k, x, dW):
-            x_dB = np.einsum("bnm,bm->bn", tc.X(tau(k), x), dW)
+            x_dB = matvec(tc.X(tau(k), x), dW)
             return x + x_dB + tc.Z(tau(k), x) * dt, x_dB
 
         def tc_weight(k, x, x_dB, dW, vs):
-            yv = np.einsum("bmn,bn->bm", tc.Y(tau(k), x), vs[0])
-            return np.einsum("bm,bm->b", yv, dW)
+            yv = matvec(tc.Y(tau(k), x), vs[0])
+            return make_dot(model.m)(yv, dW)
 
         def tc_flow(k, x, x1, vs, dW):
-            return [v + np.einsum("bnm,bm->bn", tc.DX(tau(k), x, v), dW)
+            return [v + matvec(tc.DX(tau(k), x, v), dW)
                     + tc.DZ(tau(k), x, v) * dt for v in vs]
 
         stepping = {"step": tc_step, "flow": tc_flow}
@@ -337,7 +337,7 @@ def potential_gradient(model, f, V: PotentialField, grid: TimeGrid, x0, v0, *,
     sums.append(feynman_kac_exponent)
     if V.dV is not None:
         sums.append(lambda k, x, x_dB, dW, vs:
-                    tau(k) * np.einsum("bn,bn->b", V.dV(tau(k), x), vs[0]) * dt)
+                    tau(k) * make_dot(model.n)(V.dV(tau(k), x), vs[0]) * dt)
 
     def endpoint(x, vs, sums):
         wsum, vsum, *dvsum = sums

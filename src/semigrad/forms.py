@@ -22,7 +22,7 @@ import numpy as np
 from .errors import (DegreeMismatch, MissingCodifferential, NotClosed,
                      NotGradientSystem, UnsupportedDegree)
 from .estimators import EstimatorResult, _estimate
-from .models import as_observable
+from .models import as_observable, make_dot
 from .paths import TimeGrid, weight
 from .variation import _as_vector
 
@@ -193,7 +193,7 @@ def exact_one_form(f, *, minus_laplacian=None, name="") -> FormField:
         raise MissingCodifferential("exact_one_form needs the observable gradient df")
 
     def ev(x, v):
-        return np.einsum("bn,bn->b", obs.df(x), v)
+        return make_dot(v.shape[-1])(obs.df(x), v)
 
     codiff = None
     if minus_laplacian is not None:
@@ -216,7 +216,7 @@ def volume_form_s2() -> FormField:
     """The harmonic volume 2-form vol_x(u, v) = det[x, u, v] on S^2."""
 
     def ev(x, u, v):
-        return np.einsum("bn,bn->b", x, np.cross(u, v))
+        return make_dot(3)(x, np.cross(u, v))
 
     def codiff(x, u):
         return np.zeros(x.shape[:-1])

@@ -4,6 +4,9 @@ All coefficient callbacks are batched: a point argument has shape (B, n)
 and outputs carry the leading batch axis (X -> (B, n, m), drifts -> (B, n),
 scalars -> (B,)).  Derivatives are directional: DX(x, v) is the derivative
 of X at x in direction v, D2X(x, u, v) the second derivative, and so on.
+``paths.simulate`` passes Fortran-ordered (B, n) states and fields, so
+``x[..., i]`` is a contiguous column; the built-in callbacks return arrays
+in that order.
 """
 
 from __future__ import annotations
@@ -19,15 +22,20 @@ _RIGHT_INVERSE_COND_TOL = 1e-12
 
 
 def make_dot(n):
-    """Batched ambient dot product specialized for small fixed n."""
-    if n == 1:
-        return lambda a, b: a[..., 0] * b[..., 0]
-    if n == 2:
-        return lambda a, b: a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-    if n == 3:
-        return lambda a, b: (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
-                             + a[..., 2] * b[..., 2])
-    return lambda a, b: np.einsum("...n,...n->...", a, b)
+    """Batched ambient dot product: the n products summed in index order.
+
+    The fixed order gives the same bits in any memory layout and batch size;
+    ``np.einsum`` sums rows that are contiguous in another order.
+    """
+    def dot(a, b):
+        out = a[..., 0] * b[..., 0]
+        if n > 1:
+            term = np.empty_like(out)  # the one temporary
+            for i in range(1, n):
+                out += np.multiply(a[..., i], b[..., i], out=term)
+        return out
+
+    return dot
 
 
 @dataclass
@@ -242,7 +250,16 @@ def _applied(matrix):
     """The application (x, *directions, e) -> matrix(x, *directions) e, or None."""
     if matrix is None:
         return None
-    return lambda x, *args: np.einsum("...ij,...j->...i", matrix(x, *args[:-1]), args[-1])
+    return lambda x, *args: matvec(matrix(x, *args[:-1]), args[-1])
+
+
+def matvec(M, e):
+    """Batched M e for matrices (..., n, m): the m columns summed in index order, as in
+    ``make_dot``, so the bits do not depend on the layout of e."""
+    out = M[..., 0] * e[..., 0, None]
+    for j in range(1, M.shape[-1]):
+        out += M[..., j] * e[..., j, None]
+    return out
 
 
 def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
@@ -370,11 +387,13 @@ def axis_from_skew(S):
 
 
 def rotation_exp(w):
-    """Rodrigues formula: axis coordinates (..., 3) -> rotation matrices.
+    """Rodrigues formula: axis coordinates (..., 3) -> rotation matrices (..., 3, 3).
 
     exp(S) = I + a S + b S^2 with S^2 = w w^T - theta^2 I, written out per
     entry; a = sin(theta)/theta and b = (1 - cos(theta))/theta^2 switch to
-    their Taylor polynomials below theta = 1e-8.
+    their Taylor polynomials below theta = 1e-8.  The storage is entry-major,
+    (3, 3, ...), returned as its (..., 3, 3) view: for a batch, each entry
+    R[:, i, j] is contiguous.
     """
     x, y, z = np.moveaxis(np.asarray(w, dtype=float), -1, 0)
     xx, yy, zz = x * x, y * y, z * z
@@ -385,21 +404,39 @@ def rotation_exp(w):
     b = np.where(small, 0.5 - theta ** 2 / 24.0, (1.0 - np.cos(th)) / th ** 2)
     bxy, bxz, byz = b * (x * y), b * (x * z), b * (y * z)
     ax, ay, az = a * x, a * y, a * z
-    R = np.empty(theta.shape + (3, 3))  # entry by entry: one temporary live at a time
-    R[..., 0, 0] = 1.0 - b * (yy + zz)
-    R[..., 0, 1] = bxy - az
-    R[..., 0, 2] = bxz + ay
-    R[..., 1, 0] = bxy + az
-    R[..., 1, 1] = 1.0 - b * (xx + zz)
-    R[..., 1, 2] = byz - ax
-    R[..., 2, 0] = bxz - ay
-    R[..., 2, 1] = byz + ax
-    R[..., 2, 2] = 1.0 - b * (xx + yy)
-    return R
+    R = np.empty((3, 3) + theta.shape)  # entry by entry: one temporary live at a time
+    R[0, 0] = 1.0 - b * (yy + zz)
+    R[0, 1] = bxy - az
+    R[0, 2] = bxz + ay
+    R[1, 0] = bxy + az
+    R[1, 1] = 1.0 - b * (xx + zz)
+    R[1, 2] = byz - ax
+    R[2, 0] = bxz - ay
+    R[2, 1] = byz + ax
+    R[2, 2] = 1.0 - b * (xx + yy)
+    return np.moveaxis(R, (0, 1), (-2, -1))
+
+
+def _so3_product(g, M):
+    """g M for flattened rotations g (..., 9) and matrices M (..., 3, 3), in g's layout.
+
+    Entry 3i+j is g[3i] M[0, j] + g[3i+1] M[1, j] + g[3i+2] M[2, j], written
+    out: on component-major g every term reads one contiguous column.
+    """
+    out = np.empty_like(g)
+    term = np.empty_like(out[..., 0])  # the one temporary
+    for i in range(3):
+        for j in range(3):
+            entry = out[..., 3 * i + j]
+            np.multiply(g[..., 3 * i], M[..., 0, j], out=entry)
+            for k in (1, 2):
+                entry += np.multiply(g[..., 3 * i + k], M[..., k, j], out=term)
+    return out
 
 
 def _so3_geometry(scale) -> ManifoldGeometry:
     s2 = 2.0 * scale * scale
+    dot = make_dot(9)
 
     def constraint(g):
         G = g.reshape(g.shape[:-1] + (3, 3))
@@ -410,8 +447,7 @@ def _so3_geometry(scale) -> ManifoldGeometry:
         G = g.reshape(g.shape[:-1] + (3, 3))
         V = v.reshape(v.shape[:-1] + (3, 3))
         body = np.einsum("...ji,...jk->...ik", G, V)
-        body = 0.5 * (body - np.swapaxes(body, -1, -2))
-        return (G @ body).reshape(v.shape)
+        return _so3_product(g, 0.5 * (body - np.swapaxes(body, -1, -2)))
 
     def retract(g):
         G = g.reshape(g.shape[:-1] + (3, 3))
@@ -423,7 +459,7 @@ def _so3_geometry(scale) -> ManifoldGeometry:
         return (u @ vt).reshape(g.shape)
 
     def metric_dot(g, u, v):
-        return np.einsum("...k,...k->...", u, v) / s2
+        return dot(u, v) / s2
 
     def ricci_op(g, w):
         return 0.5 * scale * scale * w
@@ -455,8 +491,7 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
     s = float(noise_scale)
 
     def apply_X(g, e):
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        return s * (G @ skew_from_axis(e)).reshape(g.shape)
+        return s * _so3_product(g, skew_from_axis(e))
 
     def apply_Y(g, w):
         G = g.reshape(g.shape[:-1] + (3, 3))
@@ -465,9 +500,7 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
         return axis_from_skew(0.5 * (M - np.swapaxes(M, -1, -2))) / s
 
     def step(g, dW, dt):
-        G = g.reshape(g.shape[:-1] + (3, 3))
-        out = G @ rotation_exp(s * dW)
-        return out.reshape(g.shape)
+        return _so3_product(g, rotation_exp(s * dW))
 
     geometry = _so3_geometry(s)
     geometry.step = step

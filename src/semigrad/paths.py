@@ -17,6 +17,11 @@ ambient space, with a retraction or group step for manifold-constrained
 models, co-evolving the direction fields and gradient weights every
 estimator needs.  ``integrate_block`` runs it and records every state and
 field, for inspecting paths one at a time or in a block.
+Path data is component-major: the states, fields and noise steps are
+Fortran-ordered (B, n) and (B, m) arrays, so the component ``x[:, i]`` that
+model callbacks read is contiguous.  Elementwise arithmetic keeps that
+order; sums over the component axis are ``make_dot`` and ``matvec`` sums,
+whose bits do not depend on the layout or the block size.
 """
 
 from __future__ import annotations
@@ -120,17 +125,18 @@ def sample_directions(model, points: np.ndarray, seed: int = 0) -> np.ndarray:
 class NoiseStream:
     """Increments for paths lo..hi-1: an iterable of n_steps steps, each (hi-lo, m).
 
-    Iterating it yields step k's contiguous (hi-lo, m) increments for
-    k = 0, 1, 2, ..., drawn a chunk of steps at a time into one reused buffer
-    of about ``_CHUNK_BYTES``, so a step is valid only until the next one is
+    Iterating it yields step k's Fortran-ordered (hi-lo, m) increments for
+    k = 0, 1, 2, ...: the transpose of a contiguous (m, hi-lo) slice of one
+    reused (c, m, hi-lo) buffer of about ``_CHUNK_BYTES``, filled a chunk of
+    c steps at a time, so a step is valid only until the next one is
     read.  Read it once: the tile generators are not rewound, so a second
     pass would draw the steps after the last.  Two ``simulate`` calls can
     share one ``iter(stream)`` across a split of the steps.
     Each 256-path tile is one SFC64 generator keyed by (seed, stream, tile)
     that draws step-major: step k's (256, m) increments are its draws
-    [k 256 m, (k+1) 256 m).  A tile the block only overlaps still draws all
-    256 rows at every step, so row i depends only on (seed, lo + i, stream),
-    never on the block bounds.
+    [k 256 m, (k+1) 256 m), which the buffer stores transposed.  A tile the
+    block only overlaps still draws all 256 rows at every step, so row i
+    depends only on (seed, lo + i, stream), never on the block bounds.
     """
 
     def __init__(self, grid: TimeGrid, seed: int, lo: int, hi: int, m: int, stream: int = 0):
@@ -151,38 +157,38 @@ class NoiseStream:
                                 slice(first - tile * _TILE, stop - tile * _TILE),
                                 slice(first - lo, stop - lo)))
         step_bytes = max(1, (hi - lo) * m * 8)
-        self._buf = np.empty((min(K, max(1, _CHUNK_BYTES // step_bytes)), hi - lo, m))
+        self._buf = np.empty((min(K, max(1, _CHUNK_BYTES // step_bytes)), m, hi - lo))
 
     def _draw(self, out: np.ndarray):
-        """The next len(out) steps of every tile, scaled by sqrt(dt), into out (c, hi-lo, m)."""
+        """The next len(out) steps of every tile, scaled by sqrt(dt), into out (c, m, hi-lo)."""
         scratch = np.empty((len(out), _TILE, self.shape[2]))
         for gen, rows, dest in self._tiles:
             gen.standard_normal(out=scratch)
-            np.multiply(scratch[:, rows], self._sqrt_dt, out=out[:, dest])
+            np.multiply(scratch[:, rows].transpose(0, 2, 1), self._sqrt_dt, out=out[:, :, dest])
 
     def __iter__(self):
         K, size = self.shape[1], len(self._buf)
         for start in range(0, K, size):
             chunk = self._buf[:min(size, K - start)]
             self._draw(chunk)
-            yield from chunk
+            yield from (step.T for step in chunk)
 
 
 def noise_block(grid: TimeGrid, seed: int, lo: int, hi: int, m: int,
                 stream: int = 0) -> np.ndarray:
     """Increments for paths lo..hi-1 as a (hi-lo, n_steps, m) view: a ``NoiseStream`` materialized.
 
-    The whole stream is drawn as one chunk of n_steps into a step-major
-    (n_steps, hi-lo, m) buffer; the result is that buffer's transposed view,
-    so ``[:, k]`` is contiguous and equals the stream's step k, and
+    The whole stream is drawn as one chunk of n_steps into the stream's
+    (n_steps, m, hi-lo) buffer layout; the result is that buffer's transposed
+    view, so ``[:, k]`` is the stream's Fortran-ordered step k, and
     ``.transpose(1, 0, 2)`` is the steps ``simulate`` iterates.  It holds
     n_steps x (hi-lo) x m floats, so no estimator block calls it; it backs
     ``generate_noise`` and the tests that pin the stream's draws.
     """
     noise = NoiseStream(grid, seed, lo, hi, m, stream)
-    out = np.empty((grid.n_steps, hi - lo, m))
+    out = np.empty((grid.n_steps, m, hi - lo))
     noise._draw(out)
-    return out.transpose(1, 0, 2)
+    return out.transpose(2, 0, 1)
 
 
 def _stratonovich_ito_drift(model, x) -> np.ndarray:
@@ -216,13 +222,17 @@ def weight(model, i, metric=None):
         metric = model.geometry is not None
     if metric:
         return lambda k, x, x_dB, dW, vs: model.metric_dot(x, x_dB, vs[i])
-    return lambda k, x, x_dB, dW, vs: np.einsum(
-        "bm,bm->b", apply_right_inverse(model, x, vs[i]), dW)
+    dot = make_dot(model.m)
+    return lambda k, x, x_dB, dW, vs: dot(apply_right_inverse(model, x, vs[i]), dW)
 
 
 def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
              flow=None, sums=(), hook=None, step=None):
     """Step a block of paths from states x (B, n) through the steps of dWs.
+
+    x and the fields ``vs`` are copied into Fortran-ordered (B, n) arrays,
+    and the built-in steps and flows keep that order, so every callback gets
+    component-major states and fields (see the module docstring).
 
     dWs is any iterable of (B, m) increments, such as a ``NoiseStream``, an
     iterator over one shared by several calls, or a step-major (K, B, m)
@@ -244,13 +254,13 @@ def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
     Paths whose new state leaves the blow-up radius freeze and drop out.
     Returns (x, alive, vs, totals) after the last step.
     """
-    x = np.array(x, dtype=float, order="C")
+    x = np.array(x, dtype=float, order="F")
     if x.ndim != 2 or x.shape[1] != model.n:
         raise DimensionMismatch(f"states must be (B, {model.n}), got {x.shape}")
     B, K, m = len(x), grid.n_steps, model.m
     dt = grid.dt
     alive = np.ones(B, dtype=bool) if alive is None else alive
-    vs = [np.broadcast_to(v, (B, model.n)).copy() for v in vs]
+    vs = [np.array(np.broadcast_to(v, (B, model.n)), order="F") for v in vs]
     totals = [np.zeros(B) for _ in sums]
     if step is None:
         geom = model.geometry

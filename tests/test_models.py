@@ -302,6 +302,28 @@ class TestSO3Model:
         off = ~np.eye(3, dtype=bool)
         assert np.array_equal(R[:, off], ref[:, off])
 
+    def test_exp_storage_is_entry_major(self):
+        R = rotation_exp(self._exp_grid())
+        assert R.shape == (len(self._exp_grid()), 3, 3)
+        assert all(R[:, i, j].flags.c_contiguous for i in range(3) for j in range(3))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.7])
+    def test_step_is_the_matrix_product(self, scale):
+        # the written-out g exp(s dW) is G @ rotation_exp(s dW) to 4 ulps of the
+        # entries' term magnitudes, and its bits do not depend on g's layout
+        model = sg.make_so3_model(scale)
+        rng = np.random.default_rng(5)
+        g = rotation_exp(rng.standard_normal((2000, 3))).reshape(2000, 9)
+        dW = 0.3 * rng.standard_normal((2000, 3))
+        R = rotation_exp(scale * dW)
+        G = np.ascontiguousarray(g).reshape(-1, 3, 3)
+        ref = (G @ R).reshape(-1, 9)
+        terms = (np.abs(G) @ np.abs(R)).reshape(-1, 9)
+        step = model.geometry.step(g, dW, 0.01)
+        assert g.flags.f_contiguous and step.flags.f_contiguous
+        assert np.all(np.abs(step - ref) <= 4 * np.spacing(terms))
+        assert np.array_equal(model.geometry.step(np.ascontiguousarray(g), dW, 0.01), step)
+
     def test_skew_axis_round_trip(self):
         w = np.array([0.5, -0.2, 1.1])
         assert np.allclose(axis_from_skew(skew_from_axis(w)), w)

@@ -198,13 +198,20 @@ class TestNoiseContract:
         # every step's increments are contiguous; the values are the keyed SFC64
         # tile draws, step-major (step k is draws [k 256 m, (k+1) 256 m)), scaled by sqrt(dt)
         block = noise_block(self.GRID, 5, lo, hi, m, stream)
-        assert all(block[:, k].flags.c_contiguous for k in range(self.GRID.n_steps))
+        assert all(block[:, k].flags.f_contiguous for k in range(self.GRID.n_steps))
         tiles = range(lo // 256, -(-hi // 256))
         drawn = np.concatenate([np.random.Generator(np.random.SFC64(
             np.random.SeedSequence([5, stream, tile]))).standard_normal(
             (self.GRID.n_steps, 256, m)) for tile in tiles], axis=1) * np.sqrt(self.GRID.dt)
         start = lo - tiles[0] * 256
         assert np.array_equal(block, drawn[:, start:start + hi - lo].transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stream_steps_are_component_major(self, m):
+        # each (B, m) step is the transpose of a contiguous (m, B) buffer slice
+        steps = [(dW.shape, dW.flags.f_contiguous, dW.flags.c_contiguous)
+                 for dW in paths.NoiseStream(self.GRID, 5, 100, 400, m)]
+        assert steps == [((300, m), True, False)] * self.GRID.n_steps
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 700), m=st.integers(1, 3),
@@ -370,6 +377,16 @@ class TestIntegration:
         errs = np.linalg.norm(np.swapaxes(mats, -1, -2) @ mats - np.eye(3),
                               axis=(-2, -1))
         assert np.max(errs) < 1e-9
+
+    def test_so3_block_stays_on_the_group(self, so3):
+        # 1000 written-out group steps keep every path of a block on SO(3)
+        grid = TimeGrid(1.0, 1000)
+        worst = []
+        simulate(so3, grid, np.broadcast_to(np.eye(3).reshape(-1), (256, 9)),
+                 paths.NoiseStream(grid, 17, 0, 256, 3),
+                 hook=lambda k, x, vs, alive: worst.append(
+                     np.max(np.abs(so3.geometry.constraint(x)))))
+        assert len(worst) == grid.n_steps + 1 and max(worst) < 1e-12
 
     def test_noise_dimension_checked(self, bm1):
         grid = TimeGrid(1.0, 10)
@@ -589,6 +606,60 @@ class TestGroupStep:
         x_skip, _, _, (total_skip,) = simulate(model, self.GRID, g0s, dWs, sums=[inc],
                                                step=group_step)
         assert np.array_equal(x_read, x_skip) and np.array_equal(total_read, total_skip)
+
+
+class TestComponentMajor:
+    """States and fields stay Fortran-ordered (B, n) through every built-in step."""
+
+    GRID = TimeGrid(0.5, 6)
+
+    @pytest.mark.parametrize("sid", ["circle", "sphere3", "so3"])
+    def test_hook_sees_component_major_arrays(self, sid):
+        sc = sg.get_scenario(sid)
+        model = sc.make()
+        v0 = skew_from_axis(sc.v0).reshape(-1) if sid == "so3" else sc.v0
+        flows = [{"vs": (v0,)}, {"vs": (v0,), "flow": hessian_flow(model, self.GRID.dt)},
+                 {"vs": (v0,), "flow": transport_flow(model)}]
+        if sid == "sphere3":
+            flows.append(second_variation(model, self.GRID, sc.x0, sc.u0, sc.v0))
+        for flow in flows:
+            layouts = []
+
+            def hook(k, x, vs, alive):
+                layouts.append([a.flags.f_contiguous for a in (x, *vs)])
+
+            simulate(model, self.GRID, np.broadcast_to(sc.x0, (300, model.n)),
+                     paths.NoiseStream(self.GRID, 3, 0, 300, model.m),
+                     sums=[paths.weight(model, 0)], hook=hook, **flow)
+            assert layouts == [[True] * (1 + len(flow["vs"]))] * (self.GRID.n_steps + 1)
+
+    @staticmethod
+    def _flat3():
+        # X(x) = (1 + sin(x_0) / 10) A as matrices, with the Gram right inverse
+        A = np.array([[1.0, 0.3, 0.2], [0.1, 0.9, 0.4], [0.25, 0.15, 1.1]])
+        X = lambda x: (1.0 + 0.1 * np.sin(x[..., 0]))[..., None, None] * A
+        DX = lambda x, v: (0.1 * np.cos(x[..., 0]) * v[..., 0])[..., None, None] * A
+        model = make_flat_model(3, 3, X, Z=lambda x: -0.5 * x, DX=DX, DZ=lambda x, v: -0.5 * v)
+        return model, [0.1, 0.2, 0.3], [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("sid", ["circle", "sphere3", "so3", "flat3"])
+    def test_one_path_is_its_row_of_a_block(self, sid):
+        # a (1, n) block is contiguous both ways; a (B, n) one is not: the
+        # states and weights of path p agree bitwise in both
+        if sid == "flat3":
+            model, x0, v0 = self._flat3()
+        else:
+            sc = sg.get_scenario(sid)
+            model, x0, v0 = sc.make(), sc.x0, sc.v0
+            v0 = skew_from_axis(v0).reshape(-1) if sid == "so3" else v0
+        steps = noise_block(self.GRID, 9, 0, 20, model.m).transpose(1, 0, 2)
+        run = {"vs": (v0,), "sums": [paths.weight(model, 0)]}
+        states, _, _, _, (block,) = integrate_block(model, np.tile(x0, (20, 1)), self.GRID,
+                                                    steps, **run)
+        for p in (0, 7, 19):
+            one, _, _, _, (total,) = one_path(model, x0, self.GRID,
+                                              generate_noise(self.GRID, 9, p, model.m), **run)
+            assert np.array_equal(one[0], states[p]) and total[0] == block[p]
 
 
 def test_simulate_is_the_only_time_loop():
