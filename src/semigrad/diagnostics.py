@@ -71,7 +71,7 @@ def _hp_terms(model, covariant):
         raise MissingGeometry("covariant H_p needs geometry.ricci_op")
 
     def ricci_minus_drift(x, v):
-        out = -2.0 * dot(x, drift_deriv(x, v), v)
+        out = -2.0 * dot(x, np.broadcast_to(drift_deriv(x, v), v.shape), v)
         if geom is not None:
             out = out + dot(x, geom.ricci_op(x, v), v)
         return out

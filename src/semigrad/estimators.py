@@ -22,7 +22,7 @@ from .errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                      InvalidConfig, MissingDerivative, NotLieGroup,
                      UnboundedPotential, UnsupportedModel)
 from .models import (LieGroupModel, PotentialField, TimeDependentCoefficients,
-                     apply_right_inverse, as_observable, make_dot, matvec)
+                     add_terms, apply_right_inverse, as_observable, make_dot, matvec)
 from .paths import _AUX_STREAM, NoiseStream, TimeGrid, _integer, _keyed, simulate, weight
 from .variation import (_as_vector, first_variation_step, hessian_flow,
                         initial_second_variation, second_variation_step)
@@ -212,7 +212,8 @@ def bel_hessian(model, f, grid: TimeGrid, x0, u0, v0, *, variant="weights",
         if manifold:
             dxu = model.apply_DX(x, u, dW)
             return model.metric_dot(x, dxu, v) + model.metric_dot(x, x_dB, w)
-        return make_dot(model.m)(model.DY(x, u, v) + apply_right_inverse(model, x, w), dW)
+        return make_dot(model.m)(add_terms(model.DY(x, u, v), apply_right_inverse(model, x, w)),
+                                 dW)
 
     # the nested variant estimates the correction by inner paths instead
     sums = [weight(model, 0)] + ([correction] if variant == "weights" else [])

@@ -7,6 +7,11 @@ of X at x in direction v, D2X(x, u, v) the second derivative, and so on.
 ``paths.simulate`` passes Fortran-ordered (B, n) states and fields, so
 ``x[..., i]`` is a contiguous column; the built-in callbacks return arrays
 in that order.
+
+A field that is identically zero returns the scalar ``0.0`` rather than an
+array of zeros.  The kernels (the Euler step, the variation and Hessian
+flows, the flat Hessian correction) add their terms through ``add_terms``,
+which skips it; every other reader broadcasts it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,21 @@ import numpy as np
 from .errors import Degenerate, DimensionMismatch, MissingDerivative
 
 _RIGHT_INVERSE_COND_TOL = 1e-12
+
+
+def add_terms(*terms):
+    """The terms added left to right, skipping every scalar zero: ``0.0`` if all are.
+
+    The kept terms are added in their order and never re-associated, so the
+    sum has the bits of the full sum (a zero's sign aside), and a sum of one
+    kept array is that array itself, not a copy.
+    """
+    total = None
+    for term in terms:
+        if isinstance(term, (float, int)) and term == 0:
+            continue
+        total = term if total is None else total + term
+    return 0.0 if total is None else total
 
 
 def make_dot(n):
@@ -71,7 +91,9 @@ class DiffusionModel:
     Either the Ito drift ``Z`` or the Stratonovich drift ``A`` (with ``DX``)
     must be supplied.  ``hess_h`` is the covariant derivative of the drift
     vector field for h-Brownian systems (zero when h is constant), used by
-    the Hessian flow.
+    the Hessian flow.  A field that is identically zero returns the scalar
+    ``0.0``: the kernels skip it (``add_terms``) and other readers broadcast
+    it, as ``_matrix`` does.
 
     The noise coefficients X, DX, D2X and the right inverse Y of X on the
     tangent space are declared once each, as applications to a vector
@@ -264,6 +286,8 @@ def matvec(M, e):
 
 def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
     """Standard Brownian motion dx = sigma dB on R^n (h-Brownian with h = 0)."""
+    from .paths import _integer  # at call time: paths imports this module
+    n = _integer("n", n)
     if not (np.isfinite(sigma) and sigma != 0):
         raise Degenerate(f"Brownian motion needs a finite nonzero sigma, got {sigma!r}")
     if sigma == 1.0:
@@ -272,11 +296,11 @@ def make_bm_model(n=1, sigma=1.0) -> DiffusionModel:
         X, Y = (lambda x, e: sigma * e), (lambda x, w: w / sigma)
     return DiffusionModel(
         n=n, m=n,
-        Z=lambda x: np.zeros_like(x),
-        DZ=lambda x, v: np.zeros_like(v),
-        D2Z=lambda x, u, v: np.zeros_like(u),
-        DY=lambda x, u, v: np.zeros_like(u),
-        hess_h=lambda x, w: np.zeros_like(w),
+        Z=lambda x: 0.0,
+        DZ=lambda x, v: 0.0,
+        D2Z=lambda x, u, v: 0.0,
+        DY=lambda x, u, v: 0.0,
+        hess_h=lambda x, w: 0.0,
         kind="bm",
         h_brownian=True,
         domain=(-3.0, 3.0),
@@ -290,6 +314,8 @@ def make_ou_model(rate=1.0) -> DiffusionModel:
     Brownian motion plus a linear drift: every other field is that of BM.
     """
     r = float(rate)
+    if not np.isfinite(r):
+        raise Degenerate(f"Ornstein-Uhlenbeck needs a finite rate, got {rate!r}")
     return replace(make_bm_model(1), Z=lambda x: -r * x, DZ=lambda x, v: -r * v,
                    hess_h=lambda x, w: -r * w, kind="ou")
 
@@ -346,18 +372,19 @@ def make_gradient_sphere_model(n) -> DiffusionModel:
     the ambient process is -(n-1)/2 * x.  The covariant drift vanishes
     (h = 0), so the generator is half the sphere Laplacian.
     """
-    if n < 2:
+    from .paths import _integer  # at call time: paths imports this module
+    if _integer("n", n) < 2:
         raise DimensionMismatch("sphere models need ambient dimension n >= 2")
     c = 0.5 * (n - 1)
     dot = make_dot(n)
     geometry = _sphere_geometry(n)
     return DiffusionModel(
         n=n, m=n,
-        A=lambda x: np.zeros_like(x),
+        A=lambda x: 0.0,
         Z=lambda x: -c * x,
         DZ=lambda x, v: -c * v,
-        D2Z=lambda x, u, v: np.zeros_like(u),
-        hess_h=lambda x, w: np.zeros_like(w),
+        D2Z=lambda x, u, v: 0.0,
+        hess_h=lambda x, w: 0.0,
         geometry=geometry,
         kind="gradient_sphere" if n > 2 else "circle",
         gradient_system=True,
@@ -506,11 +533,11 @@ def make_so3_model(noise_scale=1.0) -> LieGroupModel:
     geometry.step = step
     return LieGroupModel(
         n=9, m=3,
-        A=lambda g: np.zeros_like(g),
+        A=lambda g: 0.0,
         Z=lambda g: -(s * s) * g,
         DZ=lambda g, v: -(s * s) * v,
-        D2Z=lambda g, u, v: np.zeros_like(u),
-        hess_h=lambda g, w: np.zeros_like(w),
+        D2Z=lambda g, u, v: 0.0,
+        hess_h=lambda g, w: 0.0,
         geometry=geometry,
         kind="lie_group",
         h_brownian=True,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import variation
 from .errors import DimensionMismatch, InvalidConfig, MissingDerivative, ZeroDirection
-from .models import apply_coeff, apply_right_inverse, make_dot
+from .models import add_terms, apply_coeff, apply_right_inverse, make_dot
 
 _UINT64_MASK = (1 << 64) - 1
 _AUX_STREAM = 1 << 32  # bel_hessian's split index (inner paths use streams 1..n_inner)
@@ -239,8 +239,11 @@ def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
     array; ``simulate`` takes exactly ``grid.n_steps`` steps from it and
     raises ``DimensionMismatch`` if it runs short or a step is not (B, m).
     No step is kept past its own iteration, so a stream may reuse its buffer.
+    A step or flow may return its input array (a zero field adds nothing,
+    see ``models.add_terms``), so no callback may write into a state or field.
 
-    ``alive`` is the starting survival mask (all True by default).
+    ``alive`` is the starting survival mask (all True by default).  While
+    every path is alive the sums add their increments unmasked.
     Each callback has one job; step k works at the left endpoint x_k:
     - ``step(k, x, dW)`` -> (x1, X(x) dW) moves the paths, by default by the
       Euler, retraction or group step; the group step makes X(x) dW only
@@ -272,7 +275,7 @@ def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
                 # the group step moves x itself; X(x) dW only feeds the sums
                 return group_step(x, dW, dt), apply_coeff(model, x, dW) if sums else None
             x_dB = apply_coeff(model, x, dW)
-            x1 = x + x_dB + drift(x) * dt
+            x1 = add_terms(x, x_dB, drift(x) * dt)
             if geom is not None:
                 x1 = geom.retract(x1)
             return x1, x_dB
@@ -291,13 +294,15 @@ def simulate(model, grid: TimeGrid, x, dWs, alive=None, *, vs=(),
             if dW.shape != (B, m):
                 raise DimensionMismatch(f"noise step {k} is {dW.shape}, model expects {(B, m)}")
             x1, x_dB = step(k, x, dW)
-            for acc, inc in zip(totals, sums):
-                acc += np.where(alive, inc(k, x, x_dB, dW, vs), 0.0)
+            all_alive = alive.all()
+            for acc, term in zip(totals, sums):
+                inc = term(k, x, x_dB, dW, vs)
+                acc += inc if all_alive else np.where(alive, inc, 0.0)
             if hook is not None:
                 hook(k, x, vs, alive)
             vs = flow(k, x, x1, vs, dW)
             ok = dot(x1, x1) <= radius_sq
-            if alive.all() and ok.all():
+            if all_alive and ok.all():
                 x = x1
             else:
                 alive = alive & ok

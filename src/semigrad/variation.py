@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, MissingDerivative, MissingGeometry
-from .models import make_dot
+from .models import add_terms, make_dot
 
 
 def _as_vector(model, v):
@@ -29,7 +29,7 @@ def _as_vector(model, v):
 
 
 def first_variation_step(model, x, x1, v, dW, dt):
-    v1 = v + model.apply_DX(x, v, dW) + model.DZ(x, v) * dt
+    v1 = add_terms(v, model.apply_DX(x, v, dW), model.DZ(x, v) * dt)
     if model.geometry is not None:
         v1 = model.geometry.project_tangent(x1, v1)
     return v1
@@ -43,16 +43,14 @@ def second_variation_step(model, x, x1, u, u1, v, w, dW, dt):
     it additionally differentiates the tangent projection (dproject), which
     carries the curvature contribution of the covariant second variation.
     """
-    dpre = (w
-            + model.apply_DX(x, w, dW) + model.DZ(x, w) * dt
-            + model.apply_D2X(x, u, v, dW)
-            + model.D2Z(x, u, v) * dt)
+    dpre = add_terms(w, model.apply_DX(x, w, dW), model.DZ(x, w) * dt,
+                     model.apply_D2X(x, u, v, dW), model.D2Z(x, u, v) * dt)
     geom = model.geometry
     if geom is None:
         return dpre
     if geom.dproject is None:
         raise MissingGeometry("second variation on a manifold needs geometry.dproject")
-    pre_v = v + model.apply_DX(x, v, dW) + model.DZ(x, v) * dt
+    pre_v = add_terms(v, model.apply_DX(x, v, dW), model.DZ(x, v) * dt)
     return geom.dproject(x1, u1, pre_v) + geom.project_tangent(x1, dpre)
 
 
@@ -93,7 +91,7 @@ def hessian_flow_step(model, x, x1, W, dt, drift_deriv):
         if geom.ricci_op is None:
             raise MissingGeometry("Hessian flow needs geometry.ricci_op")
         ric = geom.ricci_op(x1, Wt)
-    W1 = Wt + dt * (-0.5 * ric + drift_deriv(x1, Wt))
+    W1 = add_terms(Wt, dt * add_terms(-0.5 * ric, drift_deriv(x1, Wt)))
     if geom is not None:
         W1 = geom.project_tangent(x1, W1)
     return W1

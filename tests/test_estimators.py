@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from semigrad.errors import (AllPathsBlewUp, DimensionMismatch, EmptyBin,
                              UnboundedPotential)
 from semigrad.models import TimeDependentCoefficients, skew_from_axis
 from semigrad.paths import noise_block, simulate, weight
+from semigrad.variation import first_variation_step
 
 from conftest import joint_tol, make_cubic_blowup_model, make_sine_noise_model
 
@@ -531,3 +533,50 @@ class TestResultContract:
         r = sg.bel_gradient(fd, sin_obs(), grid, [0.0], [1.0],
                             n_paths=1000, seed=44)
         assert any("finite-difference" in w for w in r.metadata["warnings"])
+
+
+class TestZeroFields:
+    """A zero field returns the scalar 0.0; the array of zeros it replaced gives the same bits."""
+
+    @staticmethod
+    def zeros_bm1():
+        # bm1d with every zero field spelled as np.zeros_like, as before the scalar convention
+        return replace(sg.make_bm_model(1),
+                       Z=lambda x: np.zeros_like(x), DZ=lambda x, v: np.zeros_like(v),
+                       D2Z=lambda x, u, v: np.zeros_like(u), DY=lambda x, u, v: np.zeros_like(u),
+                       hess_h=lambda x, w: np.zeros_like(w),
+                       apply_DX=lambda x, v, e: np.zeros_like(v),
+                       apply_D2X=lambda x, u, v, e: np.zeros_like(u))
+
+    @pytest.mark.parametrize("name", ["bel_gradient", "pathwise_gradient", "bel_hessian_weights",
+                                      "bel_hessian_nested", "potential_gradient",
+                                      "finite_difference_oracle"])
+    @pytest.mark.usefixtures("one_worker")
+    def test_both_spellings_agree_bitwise(self, name):
+        grid, x0, v0 = TimeGrid(1.0, 20), [0.3], [1.0]
+        V = PotentialField(V=lambda t, x: 0.2 * np.cos(x[..., 0]),
+                           dV=lambda t, x: -0.2 * np.sin(x), upper_bound=0.2)
+        calls = {
+            "bel_gradient": lambda m: sg.bel_gradient(m, sin_obs(), grid, x0, v0,
+                                                      n_paths=600, seed=5),
+            "pathwise_gradient": lambda m: sg.pathwise_gradient(m, sin_obs(), grid, x0, v0,
+                                                                n_paths=600, seed=5),
+            "bel_hessian_weights": lambda m: sg.bel_hessian(
+                m, sin_obs(), grid, x0, v0, v0, variant="weights", n_paths=600, seed=5),
+            "bel_hessian_nested": lambda m: sg.bel_hessian(
+                m, sin_obs(), grid, x0, v0, v0, variant="nested", n_paths=600, seed=5,
+                n_inner=3),
+            "potential_gradient": lambda m: sg.potential_gradient(m, sin_obs(), V, grid, x0, v0,
+                                                                  n_paths=600, seed=5),
+            "finite_difference_oracle": lambda m: sg.finite_difference_oracle(
+                m, sin_obs(), grid, x0, v0, n_paths=600, seed=5),
+        }
+        scalar, arrays = (calls[name](m) for m in (sg.make_bm_model(1), self.zeros_bm1()))
+        assert (float.hex(scalar.mean), float.hex(scalar.std_error)) == \
+            (float.hex(arrays.mean), float.hex(arrays.std_error))
+
+    def test_zero_terms_cost_no_pass(self):
+        # bm1d's first variation adds only scalar zeros to v, so the kernel returns v itself
+        model = sg.make_bm_model(1)
+        x, v, dW = np.zeros((4, 1)), np.ones((4, 1)), np.full((4, 1), 0.1)
+        assert first_variation_step(model, x, x + dW, v, dW, 0.05) is v

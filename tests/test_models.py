@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import semigrad as sg
-from semigrad.errors import Degenerate, DimensionMismatch, MissingDerivative
+from semigrad.errors import Degenerate, DimensionMismatch, InvalidConfig, MissingDerivative
 from semigrad.models import (DiffusionModel, _gram_right_inverse, apply_coeff,
                              apply_right_inverse, axis_from_skew, make_flat_model,
                              rotation_exp, skew_from_axis, with_fd_derivatives)
@@ -202,6 +202,20 @@ class TestNoiseCoefficients:
         # sigma = 0 used to give Y = I/0 and a NaN gradient; nan/inf raised AllPathsBlewUp
         with pytest.raises(Degenerate, match="sigma"):
             sg.make_bm_model(1, sigma)
+
+    @pytest.mark.parametrize("call", [lambda: sg.make_bm_model(2.0), lambda: sg.make_bm_model(True),
+                                      lambda: sg.make_gradient_sphere_model(3.0)],
+                             ids=["bm_float_n", "bm_bool_n", "sphere_float_n"])
+    def test_dimension_must_be_an_integer(self, call):
+        # a float n used to build a model, and the first estimator raised a bare TypeError
+        with pytest.raises(InvalidConfig, match="n must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_ou_rejects_non_finite_rate(self, rate):
+        # a non-finite rate used to run, and every path blew up
+        with pytest.raises(Degenerate, match="rate"):
+            sg.make_ou_model(rate)
 
     def test_bm_negative_sigma_is_valid(self):
         # dx = -dB is Brownian motion too: d/dx E sin(x + sigma B_1) at 0 is e^(-1/2)

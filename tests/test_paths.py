@@ -824,6 +824,15 @@ def test_random_draws_have_one_home():
     assert not found, found
 
 
+def test_zero_fields_are_scalar():
+    # a zero coefficient field returns 0.0, which the kernels skip, never an
+    # array of zeros (skew_from_axis's zero is a matrix entry, not a field)
+    text = open(os.path.join(os.path.dirname(sg.__file__), "models.py")).read()
+    fields = [(n, line.strip()) for n, line in enumerate(text.splitlines(), 1)
+              if re.search(r"lambda [^:]*: np\.zeros_like\(", line)]
+    assert not fields, fields
+
+
 def test_simulate_callbacks_keep_their_contract():
     # the Hessian correction is a sum, not an accumulator in a hook, and every
     # flow is None or a callable: no module passes a string flow=
